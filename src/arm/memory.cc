@@ -1,10 +1,22 @@
 #include "src/arm/memory.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 
 namespace komodo::arm {
+
+namespace {
+
+constexpr size_t kInsecurePages = kInsecureSize / kPageSize;
+constexpr size_t kMonitorPages = kMonitorSize / kPageSize;
+
+// Source of baseline tokens, unique across the process (pooled worlds are
+// built on several campaign worker threads). 0 is reserved for "none".
+std::atomic<uint64_t> g_next_baseline{1};
+
+}  // namespace
 
 PhysMemory::PhysMemory(word nsecure_pages)
     : nsecure_pages_(nsecure_pages),
@@ -46,11 +58,7 @@ void PhysMemory::WritePage(paddr page_base, const word in[kWordsPerPage]) {
   std::vector<word>* backing = BackingFor(page_base, &index);
   assert(backing != nullptr);
   std::memcpy(backing->data() + index, in, kPageSize);
-  const size_t page_index = PageIndexOf(page_base);
-  ++page_gen_[page_index];
-  if (track_dirty_) {
-    MarkDirty(page_index);
-  }
+  NoteStore(PageIndexOf(page_base));
 }
 
 void PhysMemory::ZeroPage(paddr page_base) {
@@ -59,16 +67,10 @@ void PhysMemory::ZeroPage(paddr page_base) {
   std::vector<word>* backing = BackingFor(page_base, &index);
   assert(backing != nullptr);
   std::fill_n(backing->data() + index, kWordsPerPage, 0u);
-  const size_t page_index = PageIndexOf(page_base);
-  ++page_gen_[page_index];
-  if (track_dirty_) {
-    MarkDirty(page_index);
-  }
+  NoteStore(PageIndexOf(page_base));
 }
 
 word* PhysMemory::PageWords(size_t page_index) {
-  constexpr size_t kInsecurePages = kInsecureSize / kPageSize;
-  constexpr size_t kMonitorPages = kMonitorSize / kPageSize;
   if (page_index < kInsecurePages) {
     return insecure_.data() + page_index * kWordsPerPage;
   }
@@ -83,11 +85,18 @@ void PhysMemory::EnableDirtyTracking() {
   track_dirty_ = true;
   dirty_map_.assign(page_gen_.size(), 0);
   dirty_list_.clear();
+  baseline_ = g_next_baseline.fetch_add(1, std::memory_order_relaxed);
 }
 
 size_t PhysMemory::ResetTo(const PhysMemory& snapshot) {
   assert(track_dirty_);
   assert(nsecure_pages_ == snapshot.nsecure_pages_);
+  // Sharing the token, this memory equals the baseline outside its dirty
+  // list; a clean snapshot *is* the baseline, so after the copy-back this
+  // memory is the baseline again. Anything else leaves no such guarantee.
+  if (!SharesBaseline(snapshot) || !snapshot.dirty_list_.empty()) {
+    baseline_ = 0;
+  }
   const size_t restored = dirty_list_.size();
   for (const uint32_t page_index : dirty_list_) {
     std::memcpy(PageWords(page_index), snapshot.PageWords(page_index), kPageSize);
@@ -96,6 +105,68 @@ size_t PhysMemory::ResetTo(const PhysMemory& snapshot) {
   }
   dirty_list_.clear();
   return restored;
+}
+
+bool PhysMemory::AdoptBaseline(const PhysMemory& baseline) {
+  assert(track_dirty_ && baseline.baseline_ != 0);
+  if (!dirty_list_.empty() || !baseline.dirty_list_.empty() || !(*this == baseline)) {
+    return false;
+  }
+  baseline_ = baseline.baseline_;
+  return true;
+}
+
+bool PhysMemory::PageEquals(const PhysMemory& o, size_t page_index) const {
+  return std::memcmp(PageWords(page_index), o.PageWords(page_index), kPageSize) == 0;
+}
+
+size_t PhysMemory::FirstDirtyMismatch(const PhysMemory& o, size_t limit) const {
+  size_t first = kNoPage;
+  auto consider = [&](size_t page_index) {
+    if (page_index < limit && page_index < first && !PageEquals(o, page_index)) {
+      first = page_index;
+    }
+  };
+  for (const uint32_t page_index : dirty_list_) {
+    consider(page_index);
+  }
+  for (const uint32_t page_index : o.dirty_list_) {
+    if (!dirty_map_[page_index]) {  // already visited above
+      consider(page_index);
+    }
+  }
+  return first;
+}
+
+bool PhysMemory::operator==(const PhysMemory& o) const {
+  if (nsecure_pages_ != o.nsecure_pages_) {
+    return false;
+  }
+  if (SharesBaseline(o)) {
+    return FirstDirtyMismatch(o, page_gen_.size()) == kNoPage;
+  }
+  return insecure_ == o.insecure_ && monitor_ == o.monitor_ && secure_ == o.secure_;
+}
+
+std::optional<size_t> PhysMemory::FirstInsecureMismatch(const PhysMemory& o) const {
+  if (SharesBaseline(o)) {
+    const size_t page = FirstDirtyMismatch(o, kInsecurePages);
+    if (page == kNoPage) {
+      return std::nullopt;
+    }
+    const word* a = PageWords(page);
+    const word* b = o.PageWords(page);
+    size_t i = 0;
+    while (a[i] == b[i]) {  // the page differs, so this stops inside it
+      ++i;
+    }
+    return page * kWordsPerPage + i;
+  }
+  if (insecure_ == o.insecure_) {  // one memcmp for the common, equal case
+    return std::nullopt;
+  }
+  const auto diff = std::mismatch(insecure_.begin(), insecure_.end(), o.insecure_.begin());
+  return static_cast<size_t>(diff.first - insecure_.begin());
 }
 
 void PhysMemory::ReadPageBytes(paddr page_base, uint8_t* bytes_out) const {

@@ -20,15 +20,25 @@
 // dirtied) instead of O(total memory). The fuzz campaign's per-worker world
 // pools lean on this to replace a ~17 MB zero-and-reconstruct per trace with
 // a copy of the handful of pages the previous trace touched.
+//
+// Baseline-token equality (DESIGN.md §11): EnableDirtyTracking also stamps
+// the memory with a fresh *baseline token* naming its current contents, and
+// a memory holding a token equals that baseline on every page outside its
+// dirty list. Copies inherit the token and the dirty list, so two memories
+// that share a token differ at most on the union of their dirty lists, and
+// operator== compares only those pages. Memories without a shared token fall
+// back to comparing every word.
 #ifndef SRC_ARM_MEMORY_H_
 #define SRC_ARM_MEMORY_H_
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/arm/types.h"
+#include "src/fuzz/inject.h"
 
 namespace komodo::arm {
 
@@ -73,10 +83,7 @@ class PhysMemory {
     word* p = WordPtr(addr, &page_index);
     assert(p != nullptr);
     *p = value;
-    ++page_gen_[page_index];
-    if (track_dirty_) {
-      MarkDirty(page_index);
-    }
+    NoteStore(page_index);
   }
 
   // Generation bookkeeping for the interpreter caches: every store bumps the
@@ -106,8 +113,9 @@ class PhysMemory {
 
   // --- Snapshot-reset support (DESIGN.md §11) --------------------------------
   // Starts recording which pages are written from this point on (clears any
-  // previously recorded dirty set). Tracking is off by default; nothing in a
-  // normal run pays more than one predictable branch per store.
+  // previously recorded dirty set) and assigns a fresh baseline token: the
+  // current contents become the baseline. Tracking is off by default; nothing
+  // in a normal run pays more than one predictable branch per store.
   void EnableDirtyTracking();
   bool dirty_tracking() const { return track_dirty_; }
   // Pages written since EnableDirtyTracking / the last ResetTo, as global
@@ -122,17 +130,34 @@ class PhysMemory {
   // post-reset contents (the caller must still invalidate caches whose
   // entries embed generation *indices* that stay valid; MachineState::ResetTo
   // does). Geometries must match. Returns the number of pages restored.
+  //
+  // The baseline token survives only if `snapshot` shares it and has an
+  // empty dirty list (so it *is* the baseline); otherwise it is dropped and
+  // later comparisons of this memory take the full path.
   size_t ResetTo(const PhysMemory& snapshot);
+
+  // True iff both memories carry the same baseline token, i.e. they can
+  // differ only on pages in one of their dirty lists.
+  bool SharesBaseline(const PhysMemory& o) const {
+    return baseline_ != 0 && baseline_ == o.baseline_;
+  }
+
+  // Takes over `baseline`'s token after checking, word by word, that this
+  // memory equals it. Both dirty lists must be empty (each memory is at its
+  // own baseline). Returns false, leaving the token alone, if they differ.
+  bool AdoptBaseline(const PhysMemory& baseline);
 
   // Architectural equality: contents only. Page generations are cache
   // bookkeeping and must not distinguish observably-equal memories.
-  bool operator==(const PhysMemory& o) const {
-    return nsecure_pages_ == o.nsecure_pages_ && insecure_ == o.insecure_ &&
-           monitor_ == o.monitor_ && secure_ == o.secure_;
-  }
+  // O(dirty pages) for memories that share a baseline, O(memory) otherwise.
+  bool operator==(const PhysMemory& o) const;
 
-  // Whole-region views for the equivalence relations (fast comparison of all
-  // insecure memory without per-word region lookups).
+  // Index into insecure_words() of the first word that differs between the
+  // two memories' insecure RAM, or nullopt if it is equal. Same fast path and
+  // fallback as operator==.
+  std::optional<size_t> FirstInsecureMismatch(const PhysMemory& o) const;
+
+  // Whole-region views (tests compare these against operator==).
   const std::vector<word>& insecure_words() const { return insecure_; }
   const std::vector<word>& secure_words() const { return secure_; }
 
@@ -160,12 +185,27 @@ class PhysMemory {
     return const_cast<PhysMemory*>(this)->PageWords(page_index);
   }
 
+  // Bookkeeping after a store into `page_index`. The dirty-bypass injection
+  // (fuzz/inject.h) drops the dirty record; only tracked memories read it.
+  void NoteStore(size_t page_index) {
+    ++page_gen_[page_index];
+    if (track_dirty_ && !fuzz::Inject().dirty_bypass) {
+      MarkDirty(page_index);
+    }
+  }
   void MarkDirty(size_t page_index) {
     if (!dirty_map_[page_index]) {
       dirty_map_[page_index] = 1;
       dirty_list_.push_back(static_cast<uint32_t>(page_index));
     }
   }
+
+  // Page `page_index` holds the same words in both memories.
+  bool PageEquals(const PhysMemory& o, size_t page_index) const;
+  // Smallest page in the union of the two dirty lists (which must share a
+  // baseline) on which the memories differ and `page_index < limit`, or
+  // kNoPage.
+  size_t FirstDirtyMismatch(const PhysMemory& o, size_t limit) const;
 
   word nsecure_pages_;
   std::vector<word> insecure_;
@@ -179,6 +219,8 @@ class PhysMemory {
   bool track_dirty_ = false;
   std::vector<uint8_t> dirty_map_;    // one flag per mapped page
   std::vector<uint32_t> dirty_list_;  // insertion-ordered dirty page indices
+  // Baseline token (0 = none); nonzero only while dirty tracking is on.
+  uint64_t baseline_ = 0;
 };
 
 inline const word* PhysMemory::WordPtr(paddr addr, size_t* page_index) const {

@@ -35,6 +35,11 @@ struct InjectFlags {
   // self-modifying or reused code pages replay stale instructions. Caught by
   // the cached-vs-uncached equivalence oracle.
   bool stale_decode = false;
+
+  // Stores into a dirty-tracked PhysMemory skip recording their page in the
+  // dirty list, so baseline-token equality (DESIGN.md §11) no longer sees
+  // them. Caught by the fast-vs-full memory equality differential test.
+  bool dirty_bypass = false;
 };
 
 // The flag set (C++17 inline variable: one instance per thread across all
@@ -62,6 +67,8 @@ inline bool SetInjectByName(const std::string& name) {
     f.skip_scratch_clear = true;
   } else if (name == "stale-decode") {
     f.stale_decode = true;
+  } else if (name == "dirty-bypass") {
+    f.dirty_bypass = true;
   } else {
     return false;
   }
@@ -74,6 +81,7 @@ inline const char* const kInjectNames[] = {
     "remove-skip-refcount",
     "skip-scratch-clear",
     "stale-decode",
+    "dirty-bypass",
 };
 
 // RAII: applies a named injection for the duration of one oracle run and

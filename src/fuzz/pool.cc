@@ -30,11 +30,18 @@ WorldPool::Lease WorldPool::Acquire(word pages) {
   slot.world = std::make_unique<os::World>(pages, config_);
   ++stats_.constructions;
   if (reuse_) {
-    slot.world->machine.mem.EnableDirtyTracking();
+    arm::PhysMemory& mem = slot.world->machine.mem;
+    mem.EnableDirtyTracking();
     if (bucket.snapshot == nullptr) {
       // Boot is deterministic, so this world's post-boot state doubles as the
       // reset target for every later world of the same geometry.
       bucket.snapshot = std::make_shared<const arm::MachineState>(slot.world->machine);
+    } else {
+      // Later worlds of the bucket join the snapshot's baseline so the
+      // oracles compare them with their siblings page by dirty page. The
+      // adoption compares every word once instead of trusting determinism;
+      // a world that differs keeps its own token and compares in full.
+      mem.AdoptBaseline(bucket.snapshot->mem);
     }
     slot.snapshot = bucket.snapshot;
   }

@@ -1,11 +1,13 @@
 #include "src/fuzz/trace.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "src/crypto/sha256.h"
+#include "src/util/checked_parse.h"
 
 namespace komodo::fuzz {
 
@@ -17,17 +19,28 @@ std::string Hex(word v) {
   return buf;
 }
 
-bool ParseWord(const std::string& tok, word* out) {
-  if (tok.empty()) {
-    return false;
+constexpr char kMagic[] = "komodo-fuzz-trace v1";
+
+// Every line kind: its tag, operand count, and whether it is a header line
+// (allowed at most once).
+struct LineSpec {
+  const char* tag;
+  size_t operands;
+  bool header;
+};
+constexpr LineSpec kLines[] = {
+    {"oracle", 1, true}, {"seed", 1, true},  {"pages", 1, true},   {"inject", 1, true},
+    {"victim", 1, true}, {"secrets", 2, true}, {"poke", 3, false}, {"smc", 5, false},
+    {"svc", 4, false},   {"enter", 3, false},  {"resume", 0, false}, {"end", 0, false},
+};
+
+const LineSpec* FindLine(const std::string& tag) {
+  for (const LineSpec& spec : kLines) {
+    if (tag == spec.tag) {
+      return &spec;
+    }
   }
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(tok.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') {
-    return false;
-  }
-  *out = static_cast<word>(v);
-  return true;
+  return nullptr;
 }
 
 }  // namespace
@@ -84,98 +97,113 @@ std::string Trace::Hash() const {
       crypto::Sha256Hash(reinterpret_cast<const uint8_t*>(text.data()), text.size()));
 }
 
-std::optional<Trace> Trace::Parse(const std::string& text) {
+std::optional<Trace> Trace::Parse(const std::string& text, std::string* error) {
   std::istringstream in(text);
   std::string line;
+  size_t lineno = 0;
+  auto fail = [&](const std::string& why) -> std::optional<Trace> {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(lineno) + ": " + why;
+    }
+    return std::nullopt;
+  };
+  // Tokens of the next line that is neither blank nor a comment; false at
+  // the end of the text.
+  std::vector<std::string> tok;
+  auto next_line = [&]() {
+    while (std::getline(in, line)) {
+      ++lineno;
+      if (!line.empty() && line[0] == '#') {
+        continue;
+      }
+      std::istringstream ls(line);
+      tok.clear();
+      for (std::string w; ls >> w;) {
+        tok.push_back(w);
+      }
+      if (!tok.empty()) {
+        return true;
+      }
+    }
+    return false;
+  };
+
   // Comments and blank lines may precede the magic: committed corpus files
   // carry a header explaining what the witness demonstrates.
-  do {
-    if (!std::getline(in, line)) {
-      return std::nullopt;
-    }
-  } while (line.empty() || line[0] == '#');
-  if (line != "komodo-fuzz-trace v1") {
-    return std::nullopt;
+  if (!next_line() || line != kMagic) {
+    return fail(std::string("expected '") + kMagic + "'");
   }
   Trace t;
+  std::set<std::string> headers_seen;
   bool saw_end = false;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
+  while (!saw_end && next_line()) {
+    const std::string& tag = tok[0];
+    const LineSpec* spec = FindLine(tag);
+    if (spec == nullptr) {
+      return fail("unknown line '" + tag + "'");  // refuse rather than misreplay
     }
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    auto words = [&ls](word* out, int n, int required) {
-      int got = 0;
-      std::string tok;
-      while (got < n && ls >> tok) {
-        if (!ParseWord(tok, &out[got])) {
+    if (tok.size() != spec->operands + 1) {
+      return fail("'" + tag + "' takes " + std::to_string(spec->operands) +
+                  " operand(s), got " + std::to_string(tok.size() - 1));
+    }
+    if (spec->header && !headers_seen.insert(tag).second) {
+      return fail("duplicate '" + tag + "' line");
+    }
+    // Operands 1..n as 32-bit words into out[0..n-1]; `bad` names a misfit.
+    std::string bad;
+    auto words = [&](word* out, size_t n) {
+      for (size_t i = 0; i < n; ++i) {
+        if (!TryParseU32(tok[i + 1].c_str(), &out[i])) {
+          bad = tok[i + 1];
           return false;
         }
-        ++got;
       }
-      return got >= required;
+      return true;
     };
+    bool ok = true;
     if (tag == "oracle") {
-      ls >> t.oracle;
+      t.oracle = tok[1];
     } else if (tag == "seed") {
-      uint64_t s = 0;
-      ls >> s;
-      t.seed = s;
+      if (!TryParseU64(tok[1].c_str(), &t.seed)) {
+        return fail("seed: expected an unsigned 64-bit integer, got '" + tok[1] + "'");
+      }
     } else if (tag == "pages") {
-      if (!words(&t.pages, 1, 1)) {
-        return std::nullopt;
+      ok = words(&t.pages, 1);
+      if (ok && (t.pages < 1 || t.pages > arm::kMaxSecurePages)) {
+        return fail("pages must be in [1, " + std::to_string(arm::kMaxSecurePages) + "], got " +
+                    tok[1]);
       }
     } else if (tag == "inject") {
-      ls >> t.inject;
+      t.inject = tok[1];
     } else if (tag == "victim") {
-      ls >> t.victim;
+      t.victim = tok[1];
     } else if (tag == "secrets") {
-      if (!words(t.secrets, 2, 2)) {
-        return std::nullopt;
-      }
-    } else if (tag == "poke") {
-      TraceOp op;
-      op.kind = OpKind::kPoke;
-      if (!words(op.a, 3, 3)) {
-        return std::nullopt;
-      }
-      t.ops.push_back(op);
-    } else if (tag == "smc") {
-      TraceOp op;
-      op.kind = OpKind::kSmc;
-      if (!words(op.a, 5, 5)) {
-        return std::nullopt;
-      }
-      t.ops.push_back(op);
-    } else if (tag == "svc") {
-      TraceOp op;
-      op.kind = OpKind::kSvc;
-      if (!words(op.a, 4, 4)) {
-        return std::nullopt;
-      }
-      t.ops.push_back(op);
-    } else if (tag == "enter") {
-      TraceOp op;
-      op.kind = OpKind::kEnter;
-      if (!words(&op.a[1], 3, 3)) {
-        return std::nullopt;
-      }
-      t.ops.push_back(op);
-    } else if (tag == "resume") {
-      TraceOp op;
-      op.kind = OpKind::kResume;
-      t.ops.push_back(op);
+      ok = words(t.secrets, 2);
     } else if (tag == "end") {
       saw_end = true;
-      break;
     } else {
-      return std::nullopt;  // unknown tag: refuse rather than misreplay
+      // An operation; Format() writes enter's operands to a[1..3].
+      TraceOp op;
+      op.kind = tag == "poke"    ? OpKind::kPoke
+                : tag == "smc"   ? OpKind::kSmc
+                : tag == "svc"   ? OpKind::kSvc
+                : tag == "enter" ? OpKind::kEnter
+                                 : OpKind::kResume;
+      ok = words(op.kind == OpKind::kEnter ? &op.a[1] : op.a, spec->operands);
+      t.ops.push_back(op);
+    }
+    if (!ok) {
+      return fail(tag + ": expected an unsigned 32-bit integer, got '" + bad + "'");
     }
   }
-  if (!saw_end || t.oracle.empty()) {
-    return std::nullopt;
+  if (!saw_end) {
+    return fail("missing 'end' line (truncated trace)");
+  }
+  if (next_line()) {
+    return fail("unexpected '" + tok[0] + "' after 'end'");
+  }
+  if (t.oracle.empty()) {
+    return fail("missing 'oracle' line");
   }
   return t;
 }
@@ -189,14 +217,17 @@ bool Trace::WriteFile(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
-std::optional<Trace> Trace::ReadFile(const std::string& path) {
+std::optional<Trace> Trace::ReadFile(const std::string& path, std::string* error) {
   std::ifstream in(path);
   if (!in) {
+    if (error != nullptr) {
+      *error = "cannot open file";
+    }
     return std::nullopt;
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  return Parse(buf.str());
+  return Parse(buf.str(), error);
 }
 
 }  // namespace komodo::fuzz

@@ -38,6 +38,8 @@ struct TraceOp {
   // Monitor calls (everything except pokes) are what the "reproducer of
   // <= 10 calls" acceptance bound counts.
   bool IsCall() const { return kind != OpKind::kPoke; }
+
+  bool operator==(const TraceOp&) const = default;
 };
 
 struct Trace {
@@ -51,15 +53,20 @@ struct Trace {
 
   size_t CallCount() const;
 
+  bool operator==(const Trace&) const = default;
+
   // Serialization. Format() and Parse() round-trip exactly; Hash() is the
-  // SHA-256 hex of Format(), used for determinism pinning.
+  // SHA-256 hex of Format(), used for determinism pinning. Parse is strict:
+  // unknown lines, wrong operand counts, malformed or out-of-range numbers,
+  // duplicate header lines and content after `end` are rejected, and
+  // `error` (if given) receives "line N: <reason>".
   std::string Format() const;
   std::string Hash() const;
-  static std::optional<Trace> Parse(const std::string& text);
+  static std::optional<Trace> Parse(const std::string& text, std::string* error = nullptr);
 
   // File helpers for witness reproducers.
   bool WriteFile(const std::string& path) const;
-  static std::optional<Trace> ReadFile(const std::string& path);
+  static std::optional<Trace> ReadFile(const std::string& path, std::string* error = nullptr);
 };
 
 }  // namespace komodo::fuzz

@@ -93,16 +93,9 @@ std::vector<std::string> AdvEquivViolations(const arm::MachineState& m1, const P
     }
   }
 
-  // All of insecure memory.
-  if (m1.mem.insecure_words() != m2.mem.insecure_words()) {
-    const auto& w1 = m1.mem.insecure_words();
-    const auto& w2 = m2.mem.insecure_words();
-    for (size_t i = 0; i < w1.size(); ++i) {
-      if (w1[i] != w2[i]) {
-        out.push_back("insecure memory differs at word " + std::to_string(i));
-        break;  // one witness is enough
-      }
-    }
+  // All of insecure memory; the first differing word is the witness.
+  if (const auto word_index = m1.mem.FirstInsecureMismatch(m2.mem)) {
+    out.push_back("insecure memory differs at word " + std::to_string(*word_index));
   }
   return out;
 }

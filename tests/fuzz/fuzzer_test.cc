@@ -4,6 +4,7 @@
 // and (c) passes once its fault injection is disarmed.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,63 @@ TEST(TraceFormat, SkipsCommentsAndRejectsGarbage) {
   EXPECT_FALSE(Trace::Parse("komodo-fuzz-trace v1\noracle x\nwat 1 2\nend\n").has_value());
   // A trace without the end marker is truncated, not replayable.
   EXPECT_FALSE(Trace::Parse("komodo-fuzz-trace v1\noracle x\nseed 1\n").has_value());
+}
+
+// Parse(Format(t)) == t, field for field, for generated traces of every
+// oracle (with and without an injection).
+TEST(TraceFormat, ParseInvertsFormatForGeneratedTraces) {
+  for (const std::string& oracle : OracleNames()) {
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+      Trace t = GenerateTrace(oracle, seed * 0x9e3779b97f4a7c15ull, 5 + seed % 50);
+      if (seed % 3 == 0) {
+        t.inject = kInjectNames[seed % std::size(kInjectNames)];
+      }
+      std::string error;
+      const auto parsed = Trace::Parse(t.Format(), &error);
+      ASSERT_TRUE(parsed.has_value()) << oracle << " seed " << seed << ": " << error;
+      EXPECT_TRUE(*parsed == t) << oracle << " seed " << seed;
+    }
+  }
+}
+
+// Every malformed line is rejected with its line number, never coerced.
+TEST(TraceFormat, StrictParsingRejectsMalformedLinesWithLineNumbers) {
+  const std::string head = "komodo-fuzz-trace v1\noracle noninterference\n";
+  const struct {
+    const char* body;
+    const char* error;
+  } cases[] = {
+      {"seed banana\nend\n", "line 3: seed: expected an unsigned 64-bit integer, got 'banana'"},
+      {"seed 18446744073709551616\nend\n",
+       "line 3: seed: expected an unsigned 64-bit integer, got '18446744073709551616'"},
+      {"pages 0x100000040\nend\n",
+       "line 3: pages: expected an unsigned 32-bit integer, got '0x100000040'"},
+      {"pages 0\nend\n", "line 3: pages must be in [1, 1024], got 0"},
+      {"secrets -1 2\nend\n", "line 3: secrets: expected an unsigned 32-bit integer, got '-1'"},
+      {"secrets 1\nend\n", "line 3: 'secrets' takes 2 operand(s), got 1"},
+      {"seed 1\nenter 0x0 0x0 0x0 0x0\nend\n", "line 4: 'enter' takes 3 operand(s), got 4"},
+      {"smc 1 0x0 0x0 0x0 0x0 junk\nend\n", "line 3: 'smc' takes 5 operand(s), got 6"},
+      {"poke 1 2 3 4\nend\n", "line 3: 'poke' takes 3 operand(s), got 4"},
+      {"svc 1 2 3\nend\n", "line 3: 'svc' takes 4 operand(s), got 3"},
+      {"resume now\nend\n", "line 3: 'resume' takes 0 operand(s), got 1"},
+      {"oracle interp\nend\n", "line 3: duplicate 'oracle' line"},
+      {"victim a b\nend\n", "line 3: 'victim' takes 1 operand(s), got 2"},
+      {"smc 1 2 3 4 5x\nend\n", "line 3: smc: expected an unsigned 32-bit integer, got '5x'"},
+      {"wat 1 2\nend\n", "line 3: unknown line 'wat'"},
+      {"end now\n", "line 3: 'end' takes 0 operand(s), got 1"},
+      {"end\nsmc 1 0x0 0x0 0x0 0x0\n", "line 4: unexpected 'smc' after 'end'"},
+      {"seed 1\n", "line 3: missing 'end' line (truncated trace)"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    EXPECT_FALSE(Trace::Parse(head + c.body, &error).has_value()) << c.body;
+    EXPECT_EQ(error, c.error) << c.body;
+  }
+  std::string error;
+  EXPECT_FALSE(Trace::Parse("# header\nnot a trace\n", &error).has_value());
+  EXPECT_EQ(error, "line 2: expected 'komodo-fuzz-trace v1'");
+  EXPECT_FALSE(Trace::Parse("komodo-fuzz-trace v1\nseed 1\nend\n", &error).has_value());
+  EXPECT_EQ(error, "line 3: missing 'oracle' line");
 }
 
 TEST(Generator, SameSeedSameTrace) {
@@ -195,6 +253,7 @@ TEST(Injection, RegistryRoundTrip) {
   EXPECT_FALSE(Inject().remove_skip_refcount);
   EXPECT_FALSE(Inject().skip_scratch_clear);
   EXPECT_FALSE(Inject().stale_decode);
+  EXPECT_FALSE(Inject().dirty_bypass);
 }
 
 }  // namespace

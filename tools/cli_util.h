@@ -3,18 +3,18 @@
 // strtoull with a null endptr accepts "10x" as 10 and "abc" as 0 without
 // complaint — and for tools whose whole stdout is a pure function of flags
 // like --seed, a typo then silently runs a *different* deterministic
-// campaign. ParseU64 demands the full token parse, rejects negatives (which
-// strtoull would wrap), range-checks, and exits with a diagnostic naming the
-// offending flag.
+// campaign. ParseU64 demands the full token parse (src/util/checked_parse.h),
+// rejects negatives (which strtoull would wrap), range-checks, and exits with
+// a diagnostic naming the offending flag.
 #ifndef TOOLS_CLI_UTIL_H_
 #define TOOLS_CLI_UTIL_H_
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+
+#include "src/util/checked_parse.h"
 
 namespace komodo::cli {
 
@@ -25,18 +25,10 @@ namespace komodo::cli {
 inline uint64_t ParseU64(const char* prog, const char* flag, const char* value,
                          uint64_t min_value = 0,
                          uint64_t max_value = std::numeric_limits<uint64_t>::max()) {
-  // Demand a leading digit: rules out empty tokens, whitespace, and the
-  // "-1" / "+1" forms strtoull would quietly accept (negatives by wrapping).
-  if (value == nullptr || !std::isdigit(static_cast<unsigned char>(value[0]))) {
+  uint64_t parsed = 0;
+  if (!TryParseU64(value, &parsed)) {
     std::fprintf(stderr, "%s: %s expects an unsigned integer, got '%s'\n", prog, flag,
                  value == nullptr ? "" : value);
-    std::exit(2);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 0);
-  if (errno == ERANGE || end == value || *end != '\0') {
-    std::fprintf(stderr, "%s: %s expects an unsigned integer, got '%s'\n", prog, flag, value);
     std::exit(2);
   }
   if (parsed < min_value || parsed > max_value) {

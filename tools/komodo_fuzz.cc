@@ -69,9 +69,10 @@ int Usage() {
 }
 
 int Replay(const std::string& path, bool apply_inject) {
-  const auto trace = Trace::ReadFile(path);
+  std::string error;
+  const auto trace = Trace::ReadFile(path, &error);
   if (!trace) {
-    std::fprintf(stderr, "komodo-fuzz: cannot parse trace file %s\n", path.c_str());
+    std::fprintf(stderr, "komodo-fuzz: %s: %s\n", path.c_str(), error.c_str());
     return 2;
   }
   const Verdict v = komodo::fuzz::RunTrace(*trace, apply_inject);
