@@ -4,9 +4,11 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -43,6 +45,20 @@ class BenchJson {
     config_.push_back({key, value, 0, false});
   }
   void Config(const std::string& key, uint64_t value) { config_.push_back({key, "", value, true}); }
+
+  // The host and build the timings come from: `host_cores`, `compiler` and
+  // `build_type` (the CMake build type the caller was compiled under).
+  void HostConfig(const std::string& build_type) {
+    Config("host_cores", static_cast<uint64_t>(std::max(1u, std::thread::hardware_concurrency())));
+#if defined(__clang__)
+    Config("compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+    Config("compiler", std::string("gcc ") + __VERSION__);
+#else
+    Config("compiler", "unknown");
+#endif
+    Config("build_type", build_type);
+  }
 
   void Result(const std::string& name, const std::string& metric, double value,
               const std::string& unit) {

@@ -77,6 +77,13 @@ printf 'create counter\nsubmit 1 5\nsubmit 1 6\nwait 2\ndestroy 1\nquit\n' \
 printf 'session 1\nrequest 1\nrequest 2\nresult 2 ok 11\ndestroyed 1 dropped 0\nwrote build/serve-stdin-metrics.json\n' \
   | cmp - build/serve-stdin.out \
   || { echo "komodo-serve: stdin transcript drifted" >&2; exit 1; }
+# Malformed operands (negative, non-numeric, missing, trailing) must answer
+# bad-argument, never wrap or be read as some other session or request.
+printf 'create counter\nsubmit 1 -5\nsubmit 0 abc\nsubmit 1\nsubmit 1 5 7\nwait\ndestroy 1 x\nquit\n' \
+  | ./build/tools/komodo-serve --stdin > build/serve-stdin-bad.out
+printf 'session 1\nerror bad-argument\nerror bad-argument\nerror bad-argument\nerror bad-argument\nerror bad-argument\nerror bad-argument\n' \
+  | cmp - build/serve-stdin-bad.out \
+  || { echo "komodo-serve: malformed operands not rejected as bad-argument" >&2; exit 1; }
 ./build/tools/komodo-benchjson build/serve-demo-metrics.json build/serve-stdin-metrics.json
 # Seeded load generator must be deterministic: same seed, same stdout.
 ./build/tools/komodo-serve --load --sessions 40 --requests 400 --budget 28 \
@@ -107,6 +114,15 @@ cmp <(grep -v -e '^wrote ' -e '^$' build/verify-small-1.out) \
 grep -q "^closure-hash ${VERIFY_CLOSURE_HASH}\$" build/verify-small-1.out \
   || { echo "komodo-verify: closure hash drifted from the pinned value" >&2; exit 1; }
 ./build/tools/komodo-benchjson build/bench/BENCH_verify.json
+# A store that skips the dirty set must be caught on the first transition:
+# the snapshot reset and the incremental extraction both trust that set, so a
+# shortcut that hides a dropped record would let this run pass.
+if ./build/tools/komodo-verify --world small --inject dirty-bypass 2>/dev/null \
+    > build/verify-dirty-bypass.out; then
+  echo "komodo-verify: dirty-bypass injection was not caught" >&2; exit 1
+fi
+grep -q "^FAIL depth=1 " build/verify-dirty-bypass.out \
+  || { echo "komodo-verify: dirty-bypass not caught at depth 1" >&2; exit 1; }
 
 echo "=== [10/12] komodo-fuzz smoke (fixed seed, all oracles, determinism) ==="
 # A short fixed-seed campaign per oracle (DESIGN.md §10). Run twice; stdout —

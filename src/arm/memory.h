@@ -121,6 +121,14 @@ class PhysMemory {
   // Pages written since EnableDirtyTracking / the last ResetTo, as global
   // page indices (the PageIndexOf/PageGenAt space).
   const std::vector<uint32_t>& dirty_pages() const { return dirty_list_; }
+  // True iff the (mapped) page holding `addr` is in the dirty set. Tracking
+  // must be on.
+  bool IsDirty(paddr addr) const {
+    assert(track_dirty_);
+    const size_t page_index = PageIndexOf(addr);
+    assert(page_index != kNoPage);
+    return dirty_map_[page_index] != 0;
+  }
 
   // Restores this memory to `snapshot` (a copy taken when the dirty set was
   // last empty, i.e. at EnableDirtyTracking or right after a ResetTo) by

@@ -16,9 +16,17 @@ word ReadGlobal(const arm::MachineState& m, word offset) {
   return m.mem.Read(arm::kMonitorBase + offset);
 }
 
+// PageDB record fields (pagedb.h: { type, owner addrspace page, 2 spare }).
+constexpr word kDbType = 0;
+constexpr word kDbOwner = 1;
+
+paddr DbFieldAddr(PageNr n, word field) {
+  return arm::kMonitorBase + kPageDbOffset + n * kPageDbEntryWords * arm::kWordSize +
+         field * arm::kWordSize;
+}
+
 word ReadDbField(const arm::MachineState& m, PageNr n, word field) {
-  return m.mem.Read(arm::kMonitorBase + kPageDbOffset + n * kPageDbEntryWords * arm::kWordSize +
-                    field * arm::kWordSize);
+  return m.mem.Read(DbFieldAddr(n, field));
 }
 
 word ReadPageWord(const arm::MachineState& m, PageNr page, word word_offset) {
@@ -45,6 +53,14 @@ struct Extraction {
       failed = true;
       err = ExtractError{page, std::move(detail)};
     }
+  }
+
+  // Hands the recorded failure, if any, to the caller; true iff none.
+  bool Succeeded(ExtractError* out) {
+    if (failed && out != nullptr) {
+      *out = std::move(err);
+    }
+    return !failed;
   }
 
   // Maps a physical address inside the secure region back to its page number;
@@ -119,9 +135,11 @@ L1PTablePage ExtractL1PTable(Extraction& x, PageNr page) {
 }
 
 L2PTablePage ExtractL2PTable(Extraction& x, PageNr page) {
+  word descs[arm::kWordsPerPage];
+  x.m.mem.ReadPage(PagePaddr(page), descs);
   L2PTablePage l2;
-  for (word i = 0; i < 1024; ++i) {
-    const word desc = x.m.mem.Read(PagePaddr(page) + i * arm::kWordSize);
+  for (word i = 0; i < arm::kWordsPerPage; ++i) {
+    const word desc = descs[i];
     if (desc == arm::kL2FaultDesc) {
       continue;
     }
@@ -147,10 +165,44 @@ L2PTablePage ExtractL2PTable(Extraction& x, PageNr page) {
 
 DataPage ExtractData(const Extraction& x, PageNr page) {
   DataPage data;
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    data.contents[i] = ReadPageWord(x.m, page, i);
-  }
+  x.m.mem.ReadPage(PagePaddr(page), data.contents.data());
   return data;
+}
+
+// Decodes entry `n` from its PageDB type and owner words and the contents of
+// secure page `n`. It reads nothing else (page-table targets are checked
+// against x.npages only), which is what lets TryReextractPageDb skip entries
+// whose record and page were not written.
+PageDbEntry DecodeEntry(Extraction& x, PageNr n, word type_word, PageNr owner) {
+  PageDbEntry entry;
+  entry.owner = owner;
+  switch (static_cast<PageType>(type_word)) {
+    case PageType::kFree:
+      entry.page = FreePage{};
+      break;
+    case PageType::kAddrspace:
+      entry.page = ExtractAddrspace(x, n);
+      break;
+    case PageType::kDispatcher:
+      entry.page = ExtractDispatcher(x, n);
+      break;
+    case PageType::kL1PTable:
+      entry.page = ExtractL1PTable(x, n);
+      break;
+    case PageType::kL2PTable:
+      entry.page = ExtractL2PTable(x, n);
+      break;
+    case PageType::kDataPage:
+      entry.page = ExtractData(x, n);
+      break;
+    case PageType::kSparePage:
+      entry.page = SparePage{};
+      break;
+    default:
+      x.Fail(n, "PageDB type word " + HexWord(type_word) + " names no page type");
+      break;
+  }
+  return entry;
 }
 
 }  // namespace
@@ -159,45 +211,47 @@ std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError*
   Extraction x{m, ReadGlobal(m, kGlobalNPages)};
   PageDb d(x.npages);
   for (PageNr n = 0; n < x.npages && !x.failed; ++n) {
-    const word type_word = ReadDbField(m, n, 0);
-    const PageNr owner = ReadDbField(m, n, 1);
-    PageDbEntry entry;
-    entry.owner = owner;
-    switch (static_cast<PageType>(type_word)) {
-      case PageType::kFree:
-        entry.page = FreePage{};
-        break;
-      case PageType::kAddrspace:
-        entry.page = ExtractAddrspace(x, n);
-        break;
-      case PageType::kDispatcher:
-        entry.page = ExtractDispatcher(x, n);
-        break;
-      case PageType::kL1PTable:
-        entry.page = ExtractL1PTable(x, n);
-        break;
-      case PageType::kL2PTable:
-        entry.page = ExtractL2PTable(x, n);
-        break;
-      case PageType::kDataPage:
-        entry.page = ExtractData(x, n);
-        break;
-      case PageType::kSparePage:
-        entry.page = SparePage{};
-        break;
-      default:
-        x.Fail(n, "PageDB type word " + HexWord(type_word) + " names no page type");
-        break;
-    }
-    d[n] = std::move(entry);
+    d[n] = DecodeEntry(x, n, ReadDbField(m, n, kDbType), ReadDbField(m, n, kDbOwner));
   }
-  if (x.failed) {
-    if (err != nullptr) {
-      *err = std::move(x.err);
-    }
+  if (!x.Succeeded(err)) {
     return std::nullopt;
   }
   return d;
+}
+
+bool TryReextractPageDb(const arm::MachineState& m, const PageDb& base,
+                        std::optional<PageDb>* changed, ExtractError* err) {
+  changed->reset();
+  Extraction x{m, ReadGlobal(m, kGlobalNPages)};
+  if (x.npages != base.NPages()) {
+    *changed = TryExtractPageDb(m, err);
+    return changed->has_value();
+  }
+  // Entries are visited in ascending order and the first failure stops the
+  // walk, so a failure is the one the full extraction reports: every entry
+  // skipped here decoded cleanly into `base` from the same words.
+  for (PageNr n = 0; n < x.npages; ++n) {
+    const PageDbEntry& old = base[n];
+    const word old_type = static_cast<word>(old.type());
+    word type_word = old_type;
+    PageNr owner = old.owner;
+    if (m.mem.IsDirty(DbFieldAddr(n, kDbType))) {
+      type_word = ReadDbField(m, n, kDbType);
+      owner = ReadDbField(m, n, kDbOwner);
+    }
+    if (type_word == old_type && owner == old.owner && !m.mem.IsDirty(PagePaddr(n))) {
+      continue;
+    }
+    if (!changed->has_value()) {
+      *changed = base;
+    }
+    (**changed)[n] = DecodeEntry(x, n, type_word, owner);
+    if (!x.Succeeded(err)) {
+      changed->reset();
+      return false;
+    }
+  }
+  return true;
 }
 
 PageDb ExtractPageDb(const arm::MachineState& m) {
@@ -211,20 +265,10 @@ PageDb ExtractPageDb(const arm::MachineState& m) {
   return std::move(*d);
 }
 
-std::array<word, arm::kWordsPerPage> ExtractPageContents(const arm::MachineState& m, PageNr page) {
-  std::array<word, arm::kWordsPerPage> out;
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    out[i] = ReadPageWord(m, page, i);
-  }
-  return out;
-}
-
 std::array<word, arm::kWordsPerPage> ReadInsecurePage(const arm::MachineState& m,
                                                       word insecure_pgnr) {
   std::array<word, arm::kWordsPerPage> out;
-  for (word i = 0; i < arm::kWordsPerPage; ++i) {
-    out[i] = m.mem.Read(insecure_pgnr * arm::kPageSize + i * arm::kWordSize);
-  }
+  m.mem.ReadPage(insecure_pgnr * arm::kPageSize, out.data());
   return out;
 }
 

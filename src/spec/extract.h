@@ -29,14 +29,22 @@ struct ExtractError {
 // invariants are checked separately (invariants.h).
 std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err = nullptr);
 
+// Incremental TryExtractPageDb for a memory with dirty tracking on (DESIGN.md
+// §12, "Incremental extraction"). `base` must be the extraction of `m` as it
+// was when its dirty set was last empty. Re-decodes only the entries whose
+// secure page is dirty or whose PageDB type or owner word changed, and
+// everything if npages changed. Returns false, filling *err exactly as
+// TryExtractPageDb would, iff `m` does not decode. Otherwise returns true
+// with *changed holding `base` with those entries re-decoded, or nullopt when
+// no entry needed it (`m` still extracts to `base`).
+bool TryReextractPageDb(const arm::MachineState& m, const PageDb& base,
+                        std::optional<PageDb>* changed, ExtractError* err = nullptr);
+
 // Abort-on-failure wrapper for callers that have already established
 // decodability (the refinement and property tests). The differential oracles
 // and the model checker use TryExtractPageDb so an injected fault surfaces as
 // an oracle failure instead of killing the process.
 PageDb ExtractPageDb(const arm::MachineState& m);
-
-// Extracts the contents of one secure page as words (for data-page checks).
-std::array<word, arm::kWordsPerPage> ExtractPageContents(const arm::MachineState& m, PageNr page);
 
 // Reads one insecure physical page as words (spec input for MapSecure).
 std::array<word, arm::kWordsPerPage> ReadInsecurePage(const arm::MachineState& m,

@@ -8,7 +8,6 @@
 #include "src/core/kom_defs.h"
 #include "src/crypto/sha256.h"
 #include "src/fuzz/inject.h"
-#include "src/spec/extract.h"
 #include "src/spec/invariants.h"
 #include "src/verify/canon.h"
 
@@ -179,6 +178,36 @@ Counterexample MakeWitness(const WorldSpec& spec, const std::vector<VerifyOp>& p
 
 }  // namespace
 
+std::vector<PlannedCall> PlanCalls(word pages) {
+  std::vector<PlannedCall> plan;
+  for (const CallInfo& info : kSmcCalls) {
+    plan.push_back({&info, VectorsFor(info, pages)});
+  }
+  for (const CallInfo& info : kSvcCalls) {
+    plan.push_back({&info, VectorsFor(info, pages)});
+  }
+  return plan;
+}
+
+std::vector<Transition> TransitionsAt(const std::vector<PlannedCall>& plan,
+                                      const spec::PageDb& d) {
+  const std::vector<PageNr> as_pages = SvcAddrspaces(d);
+  std::vector<Transition> out;
+  for (size_t call = 0; call < plan.size(); ++call) {
+    for (const VerifyOp& proto : plan[call].vectors) {
+      if (!proto.is_svc) {
+        out.push_back({call, proto});
+        continue;
+      }
+      for (const PageNr as_page : as_pages) {
+        out.push_back({call, proto});
+        out.back().op.as_page = as_page;
+      }
+    }
+  }
+  return out;
+}
+
 ExploreResult Explore(const WorldSpec& spec) {
   ExploreResult result;
   if (!spec.inject.empty()) {
@@ -193,19 +222,7 @@ ExploreResult Explore(const WorldSpec& spec) {
   }
   fuzz::ScopedInject scoped_inject(spec.inject);
 
-  // Registry-driven call plan, fixed for the whole run.
-  struct PlannedCall {
-    const CallInfo* info;
-    std::vector<VerifyOp> vectors;  // as_page filled per state for SVCs
-    size_t stats_index;
-  };
-  std::vector<PlannedCall> plan;
-  for (const CallInfo& info : kSmcCalls) {
-    plan.push_back({&info, VectorsFor(info, spec.pages), plan.size()});
-  }
-  for (const CallInfo& info : kSvcCalls) {
-    plan.push_back({&info, VectorsFor(info, spec.pages), plan.size()});
-  }
+  const std::vector<PlannedCall> plan = PlanCalls(spec.pages);
   for (const PlannedCall& pc : plan) {
     CallStats stats;
     stats.name = pc.info->name;
@@ -238,10 +255,10 @@ ExploreResult Explore(const WorldSpec& spec) {
 
     // Harness sanity: the replayed machine must extract to exactly the
     // abstract state we are about to reason over, or every conclusion below
-    // would be about a different state than the one recorded.
+    // would be about a different state than the one recorded. The transitions
+    // below re-extract incrementally from this same extraction.
     {
-      world.ResetToMid();
-      std::optional<spec::PageDb> mid = spec::TryExtractPageDb(world.machine());
+      const std::optional<spec::PageDb>& mid = world.mid_db();
       if (!mid.has_value() || !(*mid == st.db)) {
         result.harness_error =
             "mid-state extraction diverges from the explored abstract state "
@@ -251,58 +268,46 @@ ExploreResult Explore(const WorldSpec& spec) {
       }
     }
 
-    const std::vector<PageNr> as_pages = SvcAddrspaces(st.db);
+    for (const Transition& t : TransitionsAt(plan, st.db)) {
+      CallStats& stats = result.calls[t.call];
+      const VerifyOp& op = t.op;
+      const ObligationResult res = CheckTransition(world, st.db, op);
+      ++result.transitions;
+      ++stats.transitions;
+      if (!res.ok) {
+        result.failure = MakeWitness(spec, st.path, op, res.detail);
+        return result;
+      }
 
-    for (const PlannedCall& pc : plan) {
-      CallStats& stats = result.calls[pc.stats_index];
-      for (const VerifyOp& proto : pc.vectors) {
-        // SMCs run once; SVCs run once per candidate issuing addrspace.
-        const size_t variants = pc.info->kind == CallKind::kSvc ? as_pages.size() : 1;
-        for (size_t v = 0; v < variants; ++v) {
-          VerifyOp op = proto;
-          if (op.is_svc) {
-            op.as_page = as_pages[v];
-          }
-
-          const ObligationResult res = CheckTransition(world, st.db, op);
-          ++result.transitions;
-          ++stats.transitions;
-          if (!res.ok) {
-            result.failure = MakeWitness(spec, st.path, op, res.detail);
-            return result;
-          }
-
-          // Obligation 3: every error the implementation actually returns
-          // must be declared in the registry row.
-          if (res.impl_err != kErrSuccess) {
-            const std::string err_name = KomErrName(res.impl_err);
-            stats.errors.insert(err_name);
-            if (stats.declared.find(err_name) == stats.declared.end()) {
-              result.failure = MakeWitness(
-                  spec, st.path, op,
-                  std::string(stats.name) + " returned undeclared error " + err_name);
-              return result;
-            }
-          }
-
-          if (!res.successor.has_value()) {
-            continue;
-          }
-          std::string key = CanonicalKey(*res.successor);
-          if (CountAddrspaces(*res.successor) > spec.max_addrspaces) {
-            if (clipped_keys.insert(std::move(key)).second) {
-              ++result.clipped;
-            }
-            continue;
-          }
-          if (visited.insert(key).second) {
-            State next;
-            next.path = st.path;
-            next.path.push_back(op);
-            next.db = std::move(*res.successor);
-            frontier.push_back(std::move(next));
-          }
+      // Obligation 3: every error the implementation actually returns
+      // must be declared in the registry row.
+      if (res.impl_err != kErrSuccess) {
+        const std::string err_name = KomErrName(res.impl_err);
+        stats.errors.insert(err_name);
+        if (stats.declared.find(err_name) == stats.declared.end()) {
+          result.failure = MakeWitness(
+              spec, st.path, op,
+              std::string(stats.name) + " returned undeclared error " + err_name);
+          return result;
         }
+      }
+
+      if (!res.successor.has_value()) {
+        continue;
+      }
+      std::string key = CanonicalKey(*res.successor);
+      if (CountAddrspaces(*res.successor) > spec.max_addrspaces) {
+        if (clipped_keys.insert(std::move(key)).second) {
+          ++result.clipped;
+        }
+        continue;
+      }
+      if (visited.insert(key).second) {
+        State next;
+        next.path = st.path;
+        next.path.push_back(op);
+        next.db = std::move(*res.successor);
+        frontier.push_back(std::move(next));
       }
     }
   }

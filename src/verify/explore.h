@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/call_table.h"
 #include "src/fuzz/trace.h"
 #include "src/verify/obligations.h"
 
@@ -59,6 +60,29 @@ struct ExploreResult {
   std::string closure_hash;
   std::optional<Counterexample> failure;
 };
+
+// One registry row of the explorer's call plan with its argument vectors
+// (SVC vectors leave as_page unset).
+struct PlannedCall {
+  const CallInfo* info;
+  std::vector<VerifyOp> vectors;
+};
+
+// The call plan of a `pages`-page world: every registry row, SMCs then SVCs
+// in registry order (the order of ExploreResult::calls).
+std::vector<PlannedCall> PlanCalls(word pages);
+
+// One transition label checked at a state, with its row in the plan.
+struct Transition {
+  size_t call;
+  VerifyOp op;
+};
+
+// Every transition the explorer checks at abstract state `d`, in exploration
+// order: each SMC vector once, each SVC vector once per non-stopped
+// addrspace of `d`.
+std::vector<Transition> TransitionsAt(const std::vector<PlannedCall>& plan,
+                                      const spec::PageDb& d);
 
 // Runs the exploration to closure (or first failure) under the world bounds.
 // `spec.inject` arms a fuzz::inject fault for the duration of the run.

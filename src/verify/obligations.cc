@@ -1,5 +1,6 @@
 #include "src/verify/obligations.h"
 
+#include <cassert>
 #include <utility>
 
 #include "src/core/kom_defs.h"
@@ -43,6 +44,7 @@ ConcreteWorld::ConcreteWorld(const WorldSpec& spec)
   boot_ = std::make_unique<arm::MachineState>(world_.machine);
   mid_ = std::make_unique<arm::MachineState>(world_.machine);
   boot_db_ = spec::ExtractPageDb(world_.machine);
+  mid_db_ = boot_db_;
 }
 
 void ConcreteWorld::MarkPages(arm::MachineState* m, const std::vector<uint32_t>& pages) {
@@ -83,6 +85,7 @@ void ConcreteWorld::PreparePath(const std::vector<VerifyOp>& path) {
   MarkPages(mid_.get(), new_path);
   mid_->ResetTo(world_.machine);
   path_pages_ = new_path;
+  mid_db_ = spec::TryExtractPageDb(world_.machine);
 }
 
 void ConcreteWorld::ResetToMid() { world_.machine.ResetTo(*mid_); }
@@ -116,16 +119,10 @@ ConcreteWorld::Outcome ConcreteWorld::RunStaged(const VerifyOp& op) {
   }
   Execute(op, &out.impl_err, &out.impl_val);
   world_.machine.pending_irq = false;  // an un-taken IRQ must not leak onward
-  out.db_changed = !world_.machine.mem.dirty_pages().empty();
-  if (out.db_changed) {
-    spec::ExtractError xerr;
-    std::optional<spec::PageDb> post = spec::TryExtractPageDb(world_.machine, &xerr);
-    if (post.has_value()) {
-      out.post = std::move(*post);
-    } else {
-      out.extract_error =
-          "page " + std::to_string(xerr.page) + ": " + xerr.detail;
-    }
+  assert(mid_db_.has_value());
+  spec::ExtractError xerr;
+  if (!spec::TryReextractPageDb(world_.machine, *mid_db_, &out.post, &xerr)) {
+    out.extract_error = "page " + std::to_string(xerr.page) + ": " + xerr.detail;
   }
   return out;
 }
@@ -171,7 +168,7 @@ ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
                         KomErrName(out.impl_err),
                     out.impl_err);
     }
-    res.successor = std::move(out.post);  // nullopt when nothing was written
+    res.successor = std::move(out.post);  // nullopt when no entry changed
   } else if (havoc_svc) {
     // Guard-only specs whose failures live in user-memory havoc (Attest and
     // Verify fault on bad virtual addresses; Exit cannot fail). The error

@@ -74,17 +74,23 @@ class ConcreteWorld {
   struct Outcome {
     word impl_err = 0;  // ABI error word the call returned
     word impl_val = 0;
-    bool db_changed = false;              // any physical page was written
-    std::optional<spec::PageDb> post;     // extraction, when db_changed
-    std::string extract_error;            // non-empty: extraction failed
+    // Post-state extraction; nullopt when no entry needed re-decoding, i.e.
+    // the state still extracts to mid_db().
+    std::optional<spec::PageDb> post;
+    std::string extract_error;  // non-empty: extraction failed
   };
 
   // Runs one op from the current machine state (caller must ResetToMid
-  // first). Does not reset afterwards; the next ResetToMid undoes it.
+  // first). Does not reset afterwards; the next ResetToMid undoes it. The
+  // post state is extracted incrementally from mid_db() and the pages the op
+  // dirtied (spec::TryReextractPageDb).
   Outcome RunStaged(const VerifyOp& op);
 
   const arm::MachineState& machine() const { return world_.machine; }
   const spec::PageDb& boot_db() const { return boot_db_; }
+  // Extraction of the prepared mid state, taken once per PreparePath;
+  // nullopt if it does not decode.
+  const std::optional<spec::PageDb>& mid_db() const { return mid_db_; }
 
  private:
   void MarkPages(arm::MachineState* m, const std::vector<uint32_t>& pages);
@@ -95,6 +101,7 @@ class ConcreteWorld {
   std::unique_ptr<arm::MachineState> boot_;  // post-boot, dirty set empty
   std::unique_ptr<arm::MachineState> mid_;   // post-replay, refreshed per path
   std::vector<uint32_t> path_pages_;         // pages where mid_ differs from boot_
+  std::optional<spec::PageDb> mid_db_;       // extraction of mid_
 };
 
 // Result of checking the three obligations for one transition.
@@ -107,7 +114,7 @@ struct ObligationResult {
 
 // Checks one transition from abstract state `d` (the extraction of the
 // prepared mid state). Resets the world to mid, evaluates the spec, runs the
-// implementation and compares. `d` must equal the mid-state extraction.
+// implementation and compares. `d` must equal world.mid_db().
 ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
                                  const VerifyOp& op);
 

@@ -46,10 +46,31 @@ bool RequireMember(const JsonValue& v, const std::string& where, const char* key
   return true;
 }
 
+// The host and build the timings come from: host_cores >= 1, and non-empty
+// compiler and build_type strings. Required of komodo-verify's config.
+void ValidateHostConfig(const JsonValue& config, const std::string& where) {
+  const JsonValue* cores = nullptr;
+  if (RequireMember(config, where, "host_cores", JsonValue::Kind::kNumber, &cores) &&
+      cores->number < 1) {
+    Fail(where, "host_cores must be at least 1");
+  }
+  for (const char* key : {"compiler", "build_type"}) {
+    const JsonValue* v = nullptr;
+    if (RequireMember(config, where, key, JsonValue::Kind::kString, &v) && v->str.empty()) {
+      Fail(where, std::string("key \"") + key + "\" is empty");
+    }
+  }
+}
+
 // komodo-bench-v1: {"schema","bench","config":{},"results":[{name,metric,value,unit}]}
 void ValidateBench(const JsonValue& root, const std::string& file) {
-  RequireMember(root, file, "bench", JsonValue::Kind::kString);
-  RequireMember(root, file, "config", JsonValue::Kind::kObject);
+  const JsonValue* bench = nullptr;
+  const JsonValue* config = nullptr;
+  RequireMember(root, file, "bench", JsonValue::Kind::kString, &bench);
+  if (RequireMember(root, file, "config", JsonValue::Kind::kObject, &config) && bench != nullptr &&
+      bench->str == "komodo-verify") {
+    ValidateHostConfig(*config, file + " config");
+  }
   const JsonValue* results = nullptr;
   if (!RequireMember(root, file, "results", JsonValue::Kind::kArray, &results)) {
     return;

@@ -11,6 +11,8 @@
 //         destroy <sid>         -> destroyed <sid> dropped <n>
 //         stats                 -> one-line counter summary
 //         quit
+//       A missing, malformed (e.g. negative) or extra operand of submit, wait
+//       or destroy answers `error bad-argument`.
 //   komodo-serve --load [--sessions N] [--requests M] [--seed S] [--budget P]
 //                [--no-batch] [--metrics-out FILE]
 //       Deterministic seeded load generator; prints the stats summary.
@@ -20,12 +22,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/serve/server.h"
+#include "src/util/checked_parse.h"
 #include "tools/cli_util.h"
 
 namespace {
@@ -107,6 +111,19 @@ int RunDemo(const std::string& metrics_out) {
   return ok ? 0 : 1;
 }
 
+// Reads one unsigned 32-bit operand per pointer from the rest of a protocol
+// line. False on a missing, malformed or out-of-range operand, or on a
+// trailing token.
+bool ReadOperands(std::istringstream& in, std::initializer_list<word*> operands) {
+  std::string token;
+  for (word* operand : operands) {
+    if (!(in >> token) || !komodo::TryParseU32(token.c_str(), operand)) {
+      return false;
+    }
+  }
+  return !(in >> token);
+}
+
 int RunStdin(const std::string& metrics_out) {
   Server server(DefaultCatalog());
   std::string line;
@@ -132,18 +149,18 @@ int RunStdin(const std::string& metrics_out) {
     } else if (cmd == "submit") {
       SessionId sid = 0;
       word arg = 0;
-      in >> sid >> arg;
-      auto rid = server.Submit(sid, arg);
-      if (rid.ok()) {
+      if (!ReadOperands(in, {&sid, &arg})) {
+        std::printf("error bad-argument\n");
+      } else if (auto rid = server.Submit(sid, arg); rid.ok()) {
         std::printf("request %u\n", *rid);
       } else {
         std::printf("error %s\n", ServeErrName(rid.error()));
       }
     } else if (cmd == "wait") {
       RequestId rid = 0;
-      in >> rid;
-      auto r = server.Wait(rid);
-      if (!r.ok()) {
+      if (!ReadOperands(in, {&rid})) {
+        std::printf("error bad-argument\n");
+      } else if (auto r = server.Wait(rid); !r.ok()) {
         std::printf("error %s\n", ServeErrName(r.error()));
       } else if (r->ok) {
         std::printf("result %u ok %u\n", rid, r->value);
@@ -155,9 +172,9 @@ int RunStdin(const std::string& metrics_out) {
       std::printf("drained\n");
     } else if (cmd == "destroy") {
       SessionId sid = 0;
-      in >> sid;
-      auto dropped = server.DestroySession(sid);
-      if (dropped.ok()) {
+      if (!ReadOperands(in, {&sid})) {
+        std::printf("error bad-argument\n");
+      } else if (auto dropped = server.DestroySession(sid); dropped.ok()) {
         std::printf("destroyed %u dropped %u\n", sid, *dropped);
       } else {
         std::printf("error %s\n", ServeErrName(dropped.error()));
