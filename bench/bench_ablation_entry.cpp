@@ -83,6 +83,7 @@ void PrintAblation(const AblationResults& r) {
 
 void EmitJson(const AblationResults& r) {
   bench::BenchJson json("ablation_entry");
+  json.HostConfig();
   json.Config("workload", "enter_exit_warm");
   json.Result("baseline", "sim_cycles", static_cast<double>(r.base), "cycles");
   json.Result("skip_redundant_tlb_flush", "sim_cycles", static_cast<double>(r.flush), "cycles");

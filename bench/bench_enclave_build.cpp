@@ -120,6 +120,7 @@ void PrintBuildComparison(const std::vector<BuildRow>& rows) {
 
 void EmitJson(const std::vector<BuildRow>& rows) {
   bench::BenchJson json("enclave_build");
+  json.HostConfig();
   json.Config("page_sizes", "1,4,16,64,128");
   for (const BuildRow& row : rows) {
     const std::string name = "pages_" + std::to_string(row.pages);

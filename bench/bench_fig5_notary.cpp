@@ -128,6 +128,7 @@ void PrintFig5(const std::vector<Fig5Row>& rows) {
 
 void EmitJson(const std::vector<Fig5Row>& rows) {
   bench::BenchJson json("fig5_notary");
+  json.HostConfig();
   json.Config("clock_mhz", static_cast<uint64_t>(900));
   for (const Fig5Row& r : rows) {
     const std::string name = "doc_" + std::to_string(r.kb) + "kB";

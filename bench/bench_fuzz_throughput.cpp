@@ -164,12 +164,12 @@ int main(int argc, char** argv) {
   }
 
   komodo::bench::BenchJson json("bench_fuzz_throughput");
+  json.HostConfig();
   json.Config("smoke", smoke);
   json.Config("seed", 20260807);
   json.Config("calls_per_oracle", calls);
   json.Config("trace_len", 60);
   json.Config("shards", 16);
-  json.Config("host_cores", host_cores);
   json.Config("campaign_hash", runs.front().result.hash);
   json.Config("evolve_calls_per_oracle", cover_opts.calls);
   json.Config("evolve_trace_len", cover_opts.trace_len);

@@ -1,14 +1,12 @@
-// Interpreter and JIT fast-path benchmark (DESIGN.md §8, §13): wall-clock
-// steps/sec and SMC round-trip latency across three configurations —
+// Interpreter fast-path benchmark (DESIGN.md §8): wall-clock steps/sec and
+// SMC round-trip latency across two configurations —
 //   uncached : interpreter with every fast path off (KOMODO_INTERP_CACHE=off
 //              semantics): a full two-level walk per user-mode access, a
 //              fresh Decode() per step, the O(L1) live-page-table scan per
 //              store;
-//   cached   : decode cache + micro-TLB + flat-memory fast path on;
-//   jit      : the caches plus the A32→x64 block translator.
-// All three must retire identical step and simulated-cycle counts (asserted
-// here; the differential suite compares whole machines). On hosts without
-// JIT support the jit column degenerates to a second cached run.
+//   cached   : decode cache + micro-TLB + flat-memory fast path on.
+// Both must retire identical step and simulated-cycle counts (asserted here;
+// the differential suite compares whole machines).
 //
 // Emits BENCH_interp.json in the working directory so the perf trajectory is
 // tracked PR over PR. `--smoke` runs tiny iteration counts for CI.
@@ -22,7 +20,6 @@
 #include "src/arm/machine.h"
 #include "src/enclave/programs.h"
 #include "src/enclave/sha256_program.h"
-#include "src/jit/jit.h"
 #include "src/os/world.h"
 
 namespace komodo {
@@ -34,26 +31,17 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-enum class Config { kUncached, kCached, kJit };
-
-// KOMODO_JIT defaults on, so every configuration pins both knobs explicitly.
-void Apply(Config cfg, arm::MachineState& m) {
-  m.interp.set_enabled(cfg != Config::kUncached);
-  m.jit.set_enabled(cfg == Config::kJit);
-}
-
 struct RunStats {
   uint64_t steps = 0;
   uint64_t cycles = 0;
-  uint64_t jit_steps = 0;  // steps retired inside translated blocks
   double seconds = 0;
 };
 
 // Builds a SHA-256 enclave and notarises `iters` documents of `doc_len`
 // bytes (the hashing core of the Fig. 5 notary workload, fully interpreted).
-RunStats RunNotary(Config cfg, size_t doc_len, int iters) {
+RunStats RunNotary(bool cached, size_t doc_len, int iters) {
   os::World w{64};
-  Apply(cfg, w.machine);
+  w.machine.interp.set_enabled(cached);
   auto built = w.os.NewEnclave().Code(enclave::Sha256Program()).SharedPage().Build();
   if (!built.ok()) {
     std::abort();
@@ -74,13 +62,13 @@ RunStats RunNotary(Config cfg, size_t doc_len, int iters) {
   }
   const auto t1 = Clock::now();
   return {w.machine.steps_retired - steps0, w.machine.cycles.total() - cycles0,
-          w.machine.jit.stats().jit_steps, Seconds(t0, t1)};
+          Seconds(t0, t1)};
 }
 
 // Enter/exit with a trivial enclave: the SMC round-trip cost in host time.
-RunStats RunSmcRoundTrip(Config cfg, int iters) {
+RunStats RunSmcRoundTrip(bool cached, int iters) {
   os::World w{64};
-  Apply(cfg, w.machine);
+  w.machine.interp.set_enabled(cached);
   auto built = w.os.NewEnclave().Code(enclave::AddTwoProgram()).Build();
   if (!built.ok()) {
     std::abort();
@@ -96,60 +84,46 @@ RunStats RunSmcRoundTrip(Config cfg, int iters) {
   }
   const auto t1 = Clock::now();
   return {w.machine.steps_retired - steps0, w.machine.cycles.total() - cycles0,
-          w.machine.jit.stats().jit_steps, Seconds(t0, t1)};
+          Seconds(t0, t1)};
 }
 
 struct Comparison {
   std::string name;
   RunStats uncached;
   RunStats cached;
-  RunStats jit;
   int iters = 0;
 
   double UncachedSps() const { return static_cast<double>(uncached.steps) / uncached.seconds; }
   double CachedSps() const { return static_cast<double>(cached.steps) / cached.seconds; }
-  double JitSps() const { return static_cast<double>(jit.steps) / jit.seconds; }
   double Speedup() const { return uncached.seconds / cached.seconds; }
-  double JitSpeedup() const { return cached.seconds / jit.seconds; }
 };
 
 void CheckInvisible(const Comparison& c) {
   // Architectural invisibility, cheap version: identical step and simulated
-  // cycle counts across all three configurations. (The differential test
-  // suite compares whole machines.)
-  for (const RunStats* other : {&c.uncached, &c.jit}) {
-    if (c.cached.steps != other->steps || c.cached.cycles != other->cycles) {
-      std::fprintf(stderr,
-                   "FATAL: %s diverged: steps %llu vs %llu, cycles %llu vs %llu\n",
-                   c.name.c_str(), static_cast<unsigned long long>(c.cached.steps),
-                   static_cast<unsigned long long>(other->steps),
-                   static_cast<unsigned long long>(c.cached.cycles),
-                   static_cast<unsigned long long>(other->cycles));
-      std::abort();
-    }
+  // cycle counts in both configurations. (The differential test suite
+  // compares whole machines.)
+  if (c.cached.steps != c.uncached.steps || c.cached.cycles != c.uncached.cycles) {
+    std::fprintf(stderr, "FATAL: %s diverged: steps %llu vs %llu, cycles %llu vs %llu\n",
+                 c.name.c_str(), static_cast<unsigned long long>(c.cached.steps),
+                 static_cast<unsigned long long>(c.uncached.steps),
+                 static_cast<unsigned long long>(c.cached.cycles),
+                 static_cast<unsigned long long>(c.uncached.cycles));
+    std::abort();
   }
 }
 
 void EmitJson(const std::vector<Comparison>& rows, bool smoke, const char* path) {
   bench::BenchJson json("interp");
   json.Config("smoke", smoke);
-  json.Config("jit_available", jit::Available());
+  json.HostConfig();
   for (const Comparison& c : rows) {
     json.Config(c.name + "_iters", static_cast<uint64_t>(c.iters));
     json.Result(c.name, "steps", static_cast<double>(c.cached.steps), "count");
     json.Result(c.name, "cached_steps_per_sec", c.CachedSps(), "steps/s");
     json.Result(c.name, "uncached_steps_per_sec", c.UncachedSps(), "steps/s");
-    json.Result(c.name, "jit_steps_per_sec", c.JitSps(), "steps/s");
     json.Result(c.name, "cached_seconds", c.cached.seconds, "s");
     json.Result(c.name, "uncached_seconds", c.uncached.seconds, "s");
-    json.Result(c.name, "jit_seconds", c.jit.seconds, "s");
     json.Result(c.name, "speedup", c.Speedup(), "x");
-    json.Result(c.name, "jit_speedup", c.JitSpeedup(), "x");
-    json.Result(c.name, "jit_coverage",
-                c.jit.steps == 0
-                    ? 0.0
-                    : static_cast<double>(c.jit.jit_steps) / static_cast<double>(c.jit.steps),
-                "fraction");
   }
   json.Write(path);
 }
@@ -159,7 +133,6 @@ void EmitJson(const std::vector<Comparison>& rows, bool smoke, const char* path)
 
 int main(int argc, char** argv) {
   using komodo::Comparison;
-  using komodo::Config;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -188,25 +161,23 @@ int main(int argc, char** argv) {
     c.name = s.name;
     c.iters = s.iters;
     if (s.doc_len == 0) {
-      c.uncached = komodo::RunSmcRoundTrip(Config::kUncached, s.iters);
-      c.cached = komodo::RunSmcRoundTrip(Config::kCached, s.iters);
-      c.jit = komodo::RunSmcRoundTrip(Config::kJit, s.iters);
+      c.uncached = komodo::RunSmcRoundTrip(/*cached=*/false, s.iters);
+      c.cached = komodo::RunSmcRoundTrip(/*cached=*/true, s.iters);
     } else {
-      c.uncached = komodo::RunNotary(Config::kUncached, s.doc_len, s.iters);
-      c.cached = komodo::RunNotary(Config::kCached, s.doc_len, s.iters);
-      c.jit = komodo::RunNotary(Config::kJit, s.doc_len, s.iters);
+      c.uncached = komodo::RunNotary(/*cached=*/false, s.doc_len, s.iters);
+      c.cached = komodo::RunNotary(/*cached=*/true, s.doc_len, s.iters);
     }
     rows.push_back(c);
   }
 
-  std::printf("=== Interpreter fast path: uncached vs cached vs jit ===\n");
-  std::printf("%-16s %12s %14s %14s %14s %8s %8s\n", "workload", "steps",
-              "uncached st/s", "cached st/s", "jit st/s", "speedup", "jit x");
+  std::printf("=== Interpreter fast path: uncached vs cached ===\n");
+  std::printf("%-16s %12s %14s %14s %8s\n", "workload", "steps", "uncached st/s",
+              "cached st/s", "speedup");
   for (const Comparison& c : rows) {
     komodo::CheckInvisible(c);
-    std::printf("%-16s %12llu %14.0f %14.0f %14.0f %7.2fx %7.2fx\n", c.name.c_str(),
+    std::printf("%-16s %12llu %14.0f %14.0f %7.2fx\n", c.name.c_str(),
                 static_cast<unsigned long long>(c.cached.steps), c.UncachedSps(),
-                c.CachedSps(), c.JitSps(), c.Speedup(), c.JitSpeedup());
+                c.CachedSps(), c.Speedup());
   }
   const Comparison& smc = rows.back();
   std::printf("\nSMC round-trip: %.0f ns cached, %.0f ns uncached (per Enter/exit)\n",

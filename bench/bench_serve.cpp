@@ -203,6 +203,7 @@ int main(int argc, char** argv) {
               reduction, unbatched.switches_per_req, batched.switches_per_req);
 
   komodo::bench::BenchJson json("bench_serve");
+  json.HostConfig();
   json.Config("smoke", smoke);
   json.Config("seed", sweep.seed);
   json.Config("sessions", sweep.sessions);

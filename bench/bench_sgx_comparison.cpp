@@ -115,6 +115,7 @@ void PrintComparison(const KomodoCrossings& k, const SgxCrossings& s) {
 
 void EmitJson(const KomodoCrossings& k, const SgxCrossings& s) {
   bench::BenchJson json("sgx_comparison");
+  json.HostConfig();
   json.Config("sgx_reference", "Orenbach et al. [66]");
   json.Result("enter_exit", "komodo_cycles", static_cast<double>(k.enter_exit), "cycles");
   json.Result("enter_exit", "sgx_cycles", static_cast<double>(s.enter_exit), "cycles");

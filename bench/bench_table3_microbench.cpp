@@ -157,6 +157,7 @@ void PrintTable3(const Table3Results& r) {
 
 void EmitJson(const Table3Results& r) {
   bench::BenchJson json("table3_microbench");
+  json.HostConfig();
   json.Config("pages", static_cast<uint64_t>(128));
   // Single-call rows take their names from the call registry, so the JSON
   // vocabulary cannot drift from src/core/call_list.inc; compound rows

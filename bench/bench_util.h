@@ -47,8 +47,9 @@ class BenchJson {
   void Config(const std::string& key, uint64_t value) { config_.push_back({key, "", value, true}); }
 
   // The host and build the timings come from: `host_cores`, `compiler` and
-  // `build_type` (the CMake build type the caller was compiled under).
-  void HostConfig(const std::string& build_type) {
+  // `build_type`. KOMODO_BUILD_TYPE is the CMake build type, defined for every
+  // target that links komodo_bench_util (bench/CMakeLists.txt).
+  void HostConfig() {
     Config("host_cores", static_cast<uint64_t>(std::max(1u, std::thread::hardware_concurrency())));
 #if defined(__clang__)
     Config("compiler", std::string("clang ") + __clang_version__);
@@ -57,7 +58,7 @@ class BenchJson {
 #else
     Config("compiler", "unknown");
 #endif
-    Config("build_type", build_type);
+    Config("build_type", KOMODO_BUILD_TYPE);
   }
 
   void Result(const std::string& name, const std::string& metric, double value,

@@ -39,14 +39,6 @@ echo "=== [3/12] tier-1: ctest with interpreter caches disabled ==="
 # the whole suite has to pass with them off as well.
 KOMODO_INTERP_CACHE=off ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [3b/12] tier-1: ctest with the block JIT disabled ==="
-# The A32→x64 translator (DESIGN.md §13) defaults on where supported, so the
-# plain run above already exercises it; this leg pins the interpreter-only
-# escape hatch, and the combination below the fully stripped configuration.
-KOMODO_JIT=off ctest --test-dir build --output-on-failure -j "$JOBS"
-KOMODO_JIT=off KOMODO_INTERP_CACHE=off \
-  ctest --test-dir build --output-on-failure -j "$JOBS" -R 'cycle_regression_test|interp_diff_test|jit_test'
-
 echo "=== [4/12] tier-1: ctest with tracing enabled ==="
 # The tracer (DESIGN.md §9) must be architecturally invisible too: the whole
 # suite — including the cycle-regression test — has to pass with every
@@ -128,8 +120,8 @@ echo "=== [10/12] komodo-fuzz smoke (fixed seed, all oracles, determinism) ==="
 # A short fixed-seed campaign per oracle (DESIGN.md §10). Run twice; stdout —
 # including the campaign-hash over every generated trace and verdict — must be
 # byte-identical, or the fuzzer has lost replayability. The interp oracle is
-# a three-way bisimulation (uncached / cached / JIT, DESIGN.md §13), so this
-# smoke is also the JIT's randomized gate. The hash is pinned: a fast path in
+# a cached/uncached bisimulation (DESIGN.md §8), so this smoke is also the
+# interpreter caches' randomized gate. The hash is pinned: a fast path in
 # the oracles (e.g. baseline-token memory equality, DESIGN.md §11) must not
 # change a single verdict. Re-pin only when a generator or oracle change is
 # *intended*.
@@ -157,7 +149,7 @@ echo "=== [12/12] komodo-fuzz evolve smoke (coverage-guided, pinned v3 hash) ===
 # --jobs. Re-pin when a change to the generator, mutators or coverage
 # features is *intended* (the bench acceptance gate separately requires
 # evolve to beat blind coverage at equal budget).
-EVOLVE_HASH=6b26c4ccebdfa30ef68914062b305ea3f4e6896d427d3b5792126ac574e4ba9e
+EVOLVE_HASH=f152aef2a98dd302ee60cabd44b8ca96f976f4e0a59c7990418b8ee0c124116a
 EVOLVE_ARGS=(--mode evolve --seed 20260807 --calls 400 --trace-len 30
              --shards 4 --rounds 3 --max-corpus 32 --out build)
 ./build/tools/komodo-fuzz "${EVOLVE_ARGS[@]}" 2>/dev/null > build/fuzz-evolve-1.out
@@ -230,10 +222,9 @@ fi
 
 # clang-tidy is optional: the reference container only ships gcc.
 if command -v clang-tidy >/dev/null 2>&1 && [[ -f build/compile_commands.json ]]; then
-  echo "=== extra: clang-tidy (src/core src/spec src/analysis src/verify src/jit src/serve src/fuzz) ==="
+  echo "=== extra: clang-tidy (src/core src/spec src/analysis src/verify src/serve src/fuzz) ==="
   clang-tidy -p build --quiet \
-    src/core/*.cc src/spec/*.cc src/analysis/*.cc src/verify/*.cc src/jit/*.cc src/serve/*.cc \
-    src/fuzz/*.cc
+    src/core/*.cc src/spec/*.cc src/analysis/*.cc src/verify/*.cc src/serve/*.cc src/fuzz/*.cc
 else
   echo "=== extra: clang-tidy not found; skipping (config: .clang-tidy) ==="
 fi

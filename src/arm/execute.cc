@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "src/arm/page_table.h"
-#include "src/jit/jit.h"
 
 namespace komodo::arm {
 
@@ -581,23 +580,9 @@ StepResult Step(MachineState& m) {
   return {StepStatus::kOk, {}};
 }
 
-void NoteStoreToPhys(MachineState& m, paddr phys) { NoteStore(m, phys); }
-
 std::optional<Exception> RunUntilException(MachineState& m, uint64_t max_steps) {
-  uint64_t remaining = max_steps;
-  while (remaining > 0) {
-    if (m.jit.enabled()) {
-      const jit::RunOutcome o = jit::TryRunBlock(m, remaining);
-      if (o.ran) {
-        remaining -= o.steps;
-        if (o.took_exception) {
-          return o.exception;
-        }
-        continue;
-      }
-    }
+  for (uint64_t i = 0; i < max_steps; ++i) {
     const StepResult r = Step(m);
-    --remaining;
     if (r.status == StepStatus::kException) {
       return r.exception;
     }

@@ -41,18 +41,9 @@ Translation TranslateAddress(const MachineState& m, vaddr va, Access access);
 // per the Cortex-A7 model.
 StepResult Step(MachineState& m);
 
-// Applies the store side-channel bookkeeping Step performs after a successful
-// write to `phys` (TLB-consistency invalidation when a secure-world store
-// lands in the live enclave page table). Exposed for the JIT's store helpers,
-// which bypass Step but must observe identical architectural effects.
-void NoteStoreToPhys(MachineState& m, paddr phys);
-
 // Runs until control leaves user mode (an exception is taken) or `max_steps`
-// instructions retire. When the machine's JIT is enabled, hot basic blocks
-// execute as translated x64 code with bit-identical architectural effects
-// (DESIGN.md §13); everything else falls back to Step. Returns the
-// terminating exception, or nullopt if the step budget ran out with the
-// machine still in user mode.
+// instructions retire, one Step at a time. Returns the terminating exception,
+// or nullopt if the step budget ran out with the machine still in user mode.
 std::optional<Exception> RunUntilException(MachineState& m, uint64_t max_steps);
 
 }  // namespace komodo::arm

@@ -1,26 +1,15 @@
 #include "src/arm/interp_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+
+#include "src/util/checked_parse.h"
 
 namespace komodo::arm {
 
-namespace {
-
-bool EnvEnabled() {
-  const char* v = std::getenv("KOMODO_INTERP_CACHE");
-  if (v == nullptr) {
-    return true;
-  }
-  return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
-}  // namespace
-
 InterpCaches::InterpCaches()
-    : enabled_(EnvEnabled()), decode_(kDecodeEntries), tlb_(kTlbEntries) {}
+    : enabled_(EnvSwitch("KOMODO_INTERP_CACHE", true)),
+      decode_(kDecodeEntries),
+      tlb_(kTlbEntries) {}
 
 InterpCaches::InterpCaches(const InterpCaches& o)
     : enabled_(o.enabled_), decode_(kDecodeEntries), tlb_(kTlbEntries) {}

@@ -116,7 +116,6 @@ size_t MachineState::ResetTo(const MachineState& snapshot) {
   // effect; stale translations must not survive into the next lease even
   // though page generations only ever move forward.
   interp.set_enabled(snapshot.interp.enabled());
-  jit.set_enabled(snapshot.jit.enabled());
   return restored;
 }
 

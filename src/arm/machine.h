@@ -18,7 +18,6 @@
 #include "src/arm/memory.h"
 #include "src/arm/psr.h"
 #include "src/arm/types.h"
-#include "src/jit/jit.h"
 
 namespace komodo::arm {
 
@@ -77,12 +76,6 @@ struct MachineState {
   // bookkeeping: mutable because even const translations may fill them, and
   // excluded from any state comparison. KOMODO_INTERP_CACHE=off disables.
   mutable InterpCaches interp;
-
-  // A32→x64 block translator state (DESIGN.md §13). Like `interp`, pure
-  // bookkeeping: invisible to state comparison, cold after copy, disabled by
-  // KOMODO_JIT=off, and always off on non-x86-64 hosts. Mutable for the same
-  // reason as `interp` (dispatching from a logically-const machine fills it).
-  mutable jit::JitState jit;
 
   // Instructions the interpreter has stepped (bookkeeping for benchmarks;
   // identical across cached/uncached runs of the same program).

@@ -11,7 +11,6 @@ namespace komodo {
 
 obs::MachineSnap Monitor::ObsSnap() const {
   const arm::InterpCacheStats& cs = machine_.interp.stats();
-  const jit::JitStats& js = machine_.jit.stats();
   obs::MachineSnap s;
   s.cycles = machine_.cycles.total();
   s.steps = machine_.steps_retired;
@@ -20,11 +19,6 @@ obs::MachineSnap Monitor::ObsSnap() const {
   s.tlb_hits = cs.tlb_hits;
   s.tlb_misses = cs.tlb_misses;
   s.tlb_flushes = machine_.tlb_flushes;
-  s.jit_blocks_translated = js.blocks_translated;
-  s.jit_block_hits = js.block_hits;
-  s.jit_block_invalidations = js.block_invalidations;
-  s.jit_fallback_steps = js.fallback_steps;
-  s.jit_steps = js.jit_steps;
   return s;
 }
 

@@ -21,7 +21,7 @@
 // synchronous generations; within a round every shard draws candidates from
 // its own seed stream — fresh traces, or deterministic mutations of the
 // round-start corpus snapshot — and measures each candidate's coverage
-// (PageDb shapes, obs events, interp/JIT residency). Shards never share
+// (PageDb shapes, obs events, interp decode residency). Shards never share
 // mid-round state; discoveries merge at the round barrier in canonical task
 // order, which keeps coverage, corpus and the v3 campaign hash jobs-
 // invariant. Every corpus entry is a replayable `komodo-fuzz-trace v1`.

@@ -142,12 +142,6 @@ void HarvestMachineCoverage(const os::World& w, CoverageMap* out) {
   for (const arm::paddr a : w.machine.interp.ResidentDecodeAddrs()) {
     out->Add(MixCoverageKey(CoverageDomain::kDecodeAddr, a));
   }
-  for (const jit::ResidentBlock& b : w.machine.jit.ResidentBlocks()) {
-    uint64_t h = b.phys;
-    Fold(&h, b.va);
-    Fold(&h, b.compiled ? 1 : 0);
-    out->Add(MixCoverageKey(CoverageDomain::kJitBlock, h));
-  }
 }
 
 }  // namespace komodo::fuzz

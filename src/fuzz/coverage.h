@@ -17,11 +17,10 @@
 //   * Observability keys: the (event kind, call/code, error) triples the
 //     monitor's tracer saw — which calls ran, which errors they produced,
 //     which lifecycle instants fired (src/obs/ coverage export hook).
-//   * Machine keys: resident interp decode-cache addresses and JIT block-table
-//     entries — which code the enclave worlds actually executed. Harvested
-//     only from worlds whose cache/JIT enablement the oracle sets explicitly
-//     (the interp oracle), so keys never depend on KOMODO_INTERP_CACHE /
-//     KOMODO_JIT environment defaults.
+//   * Machine keys: resident interp decode-cache addresses — which code the
+//     enclave worlds actually executed. Harvested only from worlds whose
+//     cache enablement the oracle sets explicitly (the interp oracle), so
+//     keys never depend on the KOMODO_INTERP_CACHE environment default.
 //
 // Every key derivation is a pure function of architectural state, so coverage
 // — and everything evolve mode builds on it (corpus, campaign hash) — is
@@ -73,7 +72,6 @@ enum class CoverageDomain : uint64_t {
   kPageDbShape = 1,
   kObsEvent = 2,
   kDecodeAddr = 3,
-  kJitBlock = 4,
 };
 
 uint64_t MixCoverageKey(CoverageDomain domain, uint64_t value);
@@ -86,8 +84,8 @@ void HarvestPageDbCoverage(const spec::PageDb& db, CoverageMap* out);
 // oracles.cc) into `out`.
 void HarvestObsCoverage(const os::World& w, CoverageMap* out);
 
-// Harvests resident decode-cache addresses and JIT block keys from a world
-// whose cache/JIT enablement was set explicitly by the oracle.
+// Harvests resident decode-cache addresses from a world whose cache
+// enablement was set explicitly by the oracle.
 void HarvestMachineCoverage(const os::World& w, CoverageMap* out);
 
 }  // namespace komodo::fuzz

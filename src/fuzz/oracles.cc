@@ -25,10 +25,10 @@ Verdict Fail(int op, std::string detail) { return Verdict{true, op, std::move(de
 // Arms the primary world's observability coverage hook for the duration of
 // one oracle run and harvests the keys on every exit path, including early
 // failure returns. Worlds listed in `machine_worlds` additionally contribute
-// their resident decode-cache / JIT block keys — callers only list worlds
-// whose cache/JIT enablement they set explicitly, so the harvested set never
-// depends on KOMODO_INTERP_CACHE / KOMODO_JIT environment defaults. The
-// tracer is cycle bit-identical on/off, so arming it cannot change a verdict.
+// their resident decode-cache keys — callers only list worlds whose cache
+// enablement they set explicitly, so the harvested set never depends on the
+// KOMODO_INTERP_CACHE environment default. The tracer is cycle bit-identical
+// on/off, so arming it cannot change a verdict.
 //
 // Must be declared *after* the world leases it references: it harvests in its
 // destructor, while the worlds are still leased.
@@ -419,36 +419,27 @@ Verdict RunNoninterference(const Trace& t, WorldPool& pool, CoverageMap* cover) 
   return {};
 }
 
-// --- interp (cached vs uncached vs JIT) -----------------------------------------
+// --- interp (cached vs uncached) ----------------------------------------------
 //
-// Three-way bisimulation. The cached/uncached pair is the original oracle and
-// is compared first so its canonical failure details stay stable (the
-// committed regression corpus records them). The third world runs the block
-// JIT on top of the caches; any architectural divergence from the cached
-// world is a translator bug. On hosts without JIT support the third world
-// degenerates into a second cached interpreter, which trivially agrees.
+// Two-way bisimulation: the same trace on a world with the interpreter caches
+// on and one with them off (DESIGN.md §8). Any divergence in a result or in
+// architectural state is a cache-coherence bug. The failure details are
+// canonical; the committed regression corpus records them.
 
 Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
   WorldPool::Lease lease_c = pool.Acquire(t.pages);
   WorldPool::Lease lease_u = pool.Acquire(t.pages);
-  WorldPool::Lease lease_j = pool.Acquire(t.pages);
   os::World& wc = lease_c.world();
   os::World& wu = lease_u.world();
-  os::World& wj = lease_j.world();
-  // wc/wj set their cache/JIT enablement explicitly below, so their resident
-  // decode/JIT entries are legitimate (environment-independent) coverage.
-  CoverageScope coverage(wc, cover, {&wc, &wj});
+  // wc sets its cache enablement explicitly below, so its resident decode
+  // entries are legitimate (environment-independent) coverage.
+  CoverageScope coverage(wc, cover, {&wc});
   wc.machine.interp.set_enabled(true);
-  wc.machine.jit.set_enabled(false);
   wu.machine.interp.set_enabled(false);
-  wu.machine.jit.set_enabled(false);
-  wj.machine.interp.set_enabled(true);
-  wj.machine.jit.set_enabled(true);
-  os::EnclaveHandle vc, vu, vj;
+  os::EnclaveHandle vc, vu;
   if (!t.victim.empty()) {
     std::string why;
-    if (!BuildVictim(wc, t.victim, &vc, &why) || !BuildVictim(wu, t.victim, &vu, &why) ||
-        !BuildVictim(wj, t.victim, &vj, &why)) {
+    if (!BuildVictim(wc, t.victim, &vc, &why) || !BuildVictim(wu, t.victim, &vu, &why)) {
       return Fail(-1, "harness: " + why);
     }
   }
@@ -456,17 +447,14 @@ Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
     const TraceOp& op = t.ops[i];
     os::SmcRet rc{kErrSuccess, 0};
     os::SmcRet ru{kErrSuccess, 0};
-    os::SmcRet rj{kErrSuccess, 0};
     switch (op.kind) {
       case OpKind::kPoke:
         ApplyPoke(wc, op);
         ApplyPoke(wu, op);
-        ApplyPoke(wj, op);
         break;
       case OpKind::kSmc:
         rc = wc.os.Smc(op.a[0], op.a[1], op.a[2], op.a[3], op.a[4]);
         ru = wu.os.Smc(op.a[0], op.a[1], op.a[2], op.a[3], op.a[4]);
-        rj = wj.os.Smc(op.a[0], op.a[1], op.a[2], op.a[3], op.a[4]);
         break;
       case OpKind::kSvc:
         break;  // not generated for interp traces
@@ -476,7 +464,6 @@ Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
         }
         rc = AbiWords(wc.os.Enter(vc.thread, op.a[1], op.a[2], op.a[3]));
         ru = AbiWords(wu.os.Enter(vu.thread, op.a[1], op.a[2], op.a[3]));
-        rj = AbiWords(wj.os.Enter(vj.thread, op.a[1], op.a[2], op.a[3]));
         break;
       case OpKind::kResume:
         if (t.victim.empty()) {
@@ -484,7 +471,6 @@ Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
         }
         rc = AbiWords(wc.os.Resume(vc.thread));
         ru = AbiWords(wu.os.Resume(vu.thread));
-        rj = AbiWords(wj.os.Resume(vj.thread));
         break;
     }
     if (rc.err != ru.err || rc.val != ru.val) {
@@ -497,17 +483,6 @@ Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
     if (!diff.empty()) {
       return Fail(static_cast<int>(i),
                   OpLabel(t, i) + ": cached/uncached state diverges: " + diff.front());
-    }
-    if (rj.err != rc.err || rj.val != rc.val) {
-      std::ostringstream out;
-      out << OpLabel(t, i) << ": result differs: jit (" << KomErrName(rj.err) << ", "
-          << rj.val << ") vs cached (" << KomErrName(rc.err) << ", " << rc.val << ")";
-      return Fail(static_cast<int>(i), out.str());
-    }
-    const auto jdiff = MachineDiff(wj.machine, wc.machine);
-    if (!jdiff.empty()) {
-      return Fail(static_cast<int>(i),
-                  OpLabel(t, i) + ": jit/cached state diverges: " + jdiff.front());
     }
   }
   return {};

@@ -49,9 +49,9 @@ struct Verdict {
 // `cover`, when given, accumulates the coverage keys the run touched
 // (DESIGN.md §15): per-op PageDb shape keys, the primary world's
 // observability event set, and — for the interp oracle, whose worlds set
-// their cache/JIT enablement explicitly — resident decode-cache and JIT
-// block keys. Collection is architecturally invisible (the tracer is cycle
-// bit-identical on/off), so the verdict never depends on it.
+// their cache enablement explicitly — resident decode-cache keys. Collection
+// is architecturally invisible (the tracer is cycle bit-identical on/off), so
+// the verdict never depends on it.
 Verdict RunTrace(const Trace& t, bool apply_inject = true, WorldPool* pool = nullptr,
                  CoverageMap* cover = nullptr);
 

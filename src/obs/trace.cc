@@ -2,10 +2,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/obs/json.h"
+#include "src/util/checked_parse.h"
 
 namespace komodo::obs {
 
@@ -51,17 +50,12 @@ void Histogram::Add(uint64_t v) {
 }
 
 Observability::Observability() {
-  const char* env = std::getenv("KOMODO_TRACE");
-  if (env != nullptr && (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0 ||
-                         std::strcmp(env, "true") == 0)) {
-    size_t capacity = kDefaultRingCapacity;
-    if (const char* buf = std::getenv("KOMODO_TRACE_BUF")) {
-      const unsigned long long parsed = std::strtoull(buf, nullptr, 10);
-      if (parsed > 0) {
-        capacity = static_cast<size_t>(parsed);
-      }
-    }
-    Enable(capacity);
+  // Both variables are validated whether or not tracing is on, so a bad ring
+  // size is reported on the run that sets it, not the first traced one.
+  const bool on = EnvSwitch("KOMODO_TRACE", false);
+  const uint64_t capacity = EnvPositiveU64("KOMODO_TRACE_BUF", kDefaultRingCapacity);
+  if (on) {
+    Enable(static_cast<size_t>(capacity));
   }
 }
 
@@ -164,12 +158,6 @@ void Observability::Accumulate(std::map<uint32_t, CallStats>& stats, uint32_t ca
   s.tlb_hits += end.tlb_hits - pending.begin.tlb_hits;
   s.tlb_misses += end.tlb_misses - pending.begin.tlb_misses;
   s.tlb_flushes += end.tlb_flushes - pending.begin.tlb_flushes;
-  s.jit_blocks_translated += end.jit_blocks_translated - pending.begin.jit_blocks_translated;
-  s.jit_block_hits += end.jit_block_hits - pending.begin.jit_block_hits;
-  s.jit_block_invalidations +=
-      end.jit_block_invalidations - pending.begin.jit_block_invalidations;
-  s.jit_fallback_steps += end.jit_fallback_steps - pending.begin.jit_fallback_steps;
-  s.jit_steps += end.jit_steps - pending.begin.jit_steps;
 }
 
 void Observability::EndCall(EventKind kind, uint32_t call, const char* name, uint32_t err,
@@ -317,14 +305,6 @@ void WriteCallStatsJson(JsonWriter& w, const std::map<uint32_t, CallStats>& stat
     w.KV("decode_misses", s.decode_misses);
     w.KV("tlb_hits", s.tlb_hits);
     w.KV("tlb_misses", s.tlb_misses);
-    w.EndObject();
-    w.Key("jit");
-    w.BeginObject();
-    w.KV("blocks_translated", s.jit_blocks_translated);
-    w.KV("block_hits", s.jit_block_hits);
-    w.KV("block_invalidations", s.jit_block_invalidations);
-    w.KV("fallback_steps", s.jit_fallback_steps);
-    w.KV("jit_steps", s.jit_steps);
     w.EndObject();
     w.KV("tlb_flushes", s.tlb_flushes);
     w.EndObject();

@@ -67,11 +67,6 @@ struct MachineSnap {
   uint64_t tlb_hits = 0;       // interpreter micro-TLB stats
   uint64_t tlb_misses = 0;
   uint64_t tlb_flushes = 0;    // architectural TLBIALL count
-  uint64_t jit_blocks_translated = 0;  // block-JIT stats (DESIGN.md §13)
-  uint64_t jit_block_hits = 0;
-  uint64_t jit_block_invalidations = 0;
-  uint64_t jit_fallback_steps = 0;
-  uint64_t jit_steps = 0;      // steps retired inside translated blocks
 };
 
 struct TraceEvent {
@@ -126,11 +121,6 @@ struct CallStats {
   uint64_t tlb_hits = 0;
   uint64_t tlb_misses = 0;
   uint64_t tlb_flushes = 0;
-  uint64_t jit_blocks_translated = 0;  // block-JIT activity for the call
-  uint64_t jit_block_hits = 0;
-  uint64_t jit_block_invalidations = 0;
-  uint64_t jit_fallback_steps = 0;
-  uint64_t jit_steps = 0;
 };
 
 struct Counters {

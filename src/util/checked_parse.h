@@ -1,18 +1,22 @@
-// Checked unsigned-integer parsing for every external input: command-line
-// flags (tools/cli_util.h) and the fuzz trace format (src/fuzz/trace.cc).
+// Checked parsing for every external input: command-line flags
+// (tools/cli_util.h), the fuzz trace format (src/fuzz/trace.cc) and the
+// KOMODO_* environment variables.
 //
 // strtoul/strtoull alone accept "10x" as 10, "abc" as 0 and "-1" as the
 // maximum value, and a cast to a narrower type silently truncates. These
 // helpers accept a token only if all of it is one unsigned integer —
 // decimal, or hex/octal with the usual 0x/0 prefixes (base 0) — that fits
-// the target type.
+// the target type. Switches accept exactly on|1|true and off|0|false.
 #ifndef SRC_UTIL_CHECKED_PARSE_H_
 #define SRC_UTIL_CHECKED_PARSE_H_
 
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <initializer_list>
 #include <limits>
 
 namespace komodo {
@@ -43,6 +47,59 @@ inline bool TryParseU32(const char* token, uint32_t* out) {
   }
   *out = static_cast<uint32_t>(v);
   return true;
+}
+
+// Parses an on/off switch into `*out`; returns false (leaving `*out` alone)
+// unless `token` is exactly one of on, 1, true, off, 0, false.
+inline bool TryParseSwitch(const char* token, bool* out) {
+  if (token == nullptr) {
+    return false;
+  }
+  for (const char* on : {"on", "1", "true"}) {
+    if (std::strcmp(token, on) == 0) {
+      *out = true;
+      return true;
+    }
+  }
+  for (const char* off : {"off", "0", "false"}) {
+    if (std::strcmp(token, off) == 0) {
+      *out = false;
+      return true;
+    }
+  }
+  return false;
+}
+
+// Environment variables are read once, at startup, by code with no error
+// path, so a malformed value aborts with "NAME: reason" instead of being
+// coerced into some other setting.
+[[noreturn]] inline void EnvAbort(const char* name, const char* value, const char* expected) {
+  std::fprintf(stderr, "%s: expected %s, got \"%s\"\n", name, expected, value);
+  std::abort();
+}
+
+// Reads switch variable `name`: `fallback` when unset, else TryParseSwitch.
+inline bool EnvSwitch(const char* name, bool fallback) {
+  const char* v = std::getenv(name);
+  bool on = fallback;
+  if (v != nullptr && !TryParseSwitch(v, &on)) {
+    EnvAbort(name, v, "on|1|true|off|0|false");
+  }
+  return on;
+}
+
+// Reads positive-integer variable `name`: `fallback` when unset, else
+// TryParseU64 with zero rejected.
+inline uint64_t EnvPositiveU64(const char* name, uint64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) {
+    return fallback;
+  }
+  uint64_t n = 0;
+  if (!TryParseU64(v, &n) || n == 0) {
+    EnvAbort(name, v, "a positive integer");
+  }
+  return n;
 }
 
 }  // namespace komodo

@@ -1,12 +1,10 @@
-// Cached-vs-uncached-vs-JIT differential suite (DESIGN.md §8, §13): the
-// interpreter fast path (decode cache, micro-TLB, live-page-table footprint)
-// and the x64 block translator must both be architecturally invisible. Every
-// test here runs the same program through a cache-enabled machine, a
-// cache-disabled machine, and (where the host supports it) a JIT-enabled
-// machine, and requires bit-identical final state — registers, banked state,
-// memory, TLB-consistency bit, cycle count and per-step exception trace. The
-// adversarial cases are the ones a broken cache or translator would get
-// wrong: self-modifying code (stale decode / stale block), live page-table
+// Cached-vs-uncached differential suite (DESIGN.md §8): the interpreter fast
+// path (decode cache, micro-TLB, live-page-table footprint) must be
+// architecturally invisible. Every test here runs the same program through a
+// cache-enabled and a cache-disabled machine and requires bit-identical final
+// state — registers, banked state, memory, TLB-consistency bit, cycle count
+// and per-step exception trace. The adversarial cases are the ones a broken
+// cache would get wrong: self-modifying code (stale decode), live page-table
 // edits (stale walk) and TTBR rewrites across enclave switches (stale tags).
 #include <gtest/gtest.h>
 
@@ -19,7 +17,6 @@
 #include "src/enclave/sha256_program.h"
 #include "src/fuzz/generator.h"
 #include "src/fuzz/oracles.h"
-#include "src/jit/jit.h"
 #include "src/os/world.h"
 
 namespace komodo::arm {
@@ -37,13 +34,10 @@ void ExpectSameState(const MachineState& a, const MachineState& b) {
 }
 
 // A bare machine in the normal world (flat translation), like the ISA sweeps
-// use: exercises the decode cache without page tables in the way. The JIT is
-// pinned off except for the explicit third machine (KOMODO_JIT defaults on).
-MachineState MakeFlatMachine(const std::vector<word>& code, bool cached,
-                             bool jitted = false) {
+// use: exercises the decode cache without page tables in the way.
+MachineState MakeFlatMachine(const std::vector<word>& code, bool cached) {
   MachineState m(8);
   m.interp.set_enabled(cached);
-  m.jit.set_enabled(jitted);
   m.cpsr.mode = Mode::kMonitor;
   m.SetScrNs(true);
   m.cpsr.mode = Mode::kSupervisor;
@@ -55,39 +49,18 @@ MachineState MakeFlatMachine(const std::vector<word>& code, bool cached,
 }
 
 // Steps the cached and uncached machines in lockstep for `max_steps`,
-// requiring the same per-step outcome (retired vs exception kind), then runs
-// the JIT machine through RunUntilException under the same total step budget
-// — blocks retire several steps at once, so exceptions are matched by the
-// step index they retire at rather than per call. All three final states
-// must be bit-identical (cycles and steps_retired included).
-void RunLockstep(MachineState& cached, MachineState& uncached, MachineState& jitted,
-                 int max_steps) {
-  std::vector<std::optional<Exception>> trace(static_cast<size_t>(max_steps));
+// requiring the same per-step outcome (retired vs exception kind) and
+// bit-identical final states (cycles and steps_retired included).
+void RunLockstep(MachineState& cached, MachineState& uncached, int max_steps) {
   for (int i = 0; i < max_steps; ++i) {
     const StepResult rc = Step(cached);
     const StepResult ru = Step(uncached);
     ASSERT_EQ(rc.status, ru.status) << "step " << i;
     if (rc.status == StepStatus::kException) {
       ASSERT_EQ(rc.exception, ru.exception) << "step " << i;
-      trace[static_cast<size_t>(i)] = rc.exception;
     }
   }
   ExpectSameState(cached, uncached);
-
-  const uint64_t base = jitted.steps_retired;
-  uint64_t done = 0;
-  while (done < static_cast<uint64_t>(max_steps)) {
-    const std::optional<Exception> e =
-        RunUntilException(jitted, static_cast<uint64_t>(max_steps) - done);
-    done = jitted.steps_retired - base;
-    if (e.has_value()) {
-      ASSERT_GT(done, 0u);
-      ASSERT_EQ(trace.at(done - 1), e) << "jit exception at retired step " << done;
-    } else {
-      ASSERT_EQ(done, static_cast<uint64_t>(max_steps));
-    }
-  }
-  ExpectSameState(jitted, cached);
 }
 
 // --- Randomized flat programs ----------------------------------------------------
@@ -106,8 +79,7 @@ TEST(InterpDiffTest, RandomFlatProgramsMatchExactly) {
 
     MachineState cached = MakeFlatMachine(code, /*cached=*/true);
     MachineState uncached = MakeFlatMachine(code, /*cached=*/false);
-    MachineState jitted = MakeFlatMachine(code, /*cached=*/true, /*jitted=*/true);
-    for (MachineState* m : {&cached, &uncached, &jitted}) {
+    for (MachineState* m : {&cached, &uncached}) {
       for (int i = 0; i < 13; ++i) {
         crypto::HashDrbg rdrbg(seed * 131 + i);
         m->r[i] = rdrbg.NextWord();
@@ -115,7 +87,7 @@ TEST(InterpDiffTest, RandomFlatProgramsMatchExactly) {
       m->r[10] = kScratchBase;
       m->r[11] = kCodeBase;
     }
-    RunLockstep(cached, uncached, jitted, static_cast<int>(len) + 8);
+    RunLockstep(cached, uncached, static_cast<int>(len) + 8);
     if (::testing::Test::HasFailure()) {
       FAIL() << "divergence with seed " << seed;
     }
@@ -136,17 +108,11 @@ TEST(InterpDiffTest, TightLoopMatchesAndHitsDecodeCache) {
 
   MachineState cached = MakeFlatMachine(code, true);
   MachineState uncached = MakeFlatMachine(code, false);
-  MachineState jitted = MakeFlatMachine(code, true, /*jitted=*/true);
-  RunLockstep(cached, uncached, jitted, 1510);
+  RunLockstep(cached, uncached, 1510);
   EXPECT_EQ(cached.r[0], 1500u);
   // The loop re-executes the same three instructions ~500 times; nearly every
   // fetch after the first lap must hit.
   EXPECT_GT(cached.interp.stats().decode_hits, 1400u);
-  if (jit::Available()) {
-    // The loop body is a single translated block, re-entered ~500 times.
-    EXPECT_GT(jitted.jit.stats().block_hits, 400u);
-    EXPECT_GT(jitted.jit.stats().jit_steps, 1000u);
-  }
 }
 
 // --- Self-modifying code ----------------------------------------------------------
@@ -186,35 +152,25 @@ TEST(InterpDiffTest, SelfModifyingCodeForcesRedecode) {
   }
   MachineState cached = MakeFlatMachine(code, true);
   MachineState uncached = MakeFlatMachine(code, false);
-  MachineState jitted = MakeFlatMachine(code, true, /*jitted=*/true);
-  RunLockstep(cached, uncached, jitted, 200);
+  RunLockstep(cached, uncached, 200);
   // 1 on the first pass, 2 on the remaining two: a stale decode would give 3.
   EXPECT_EQ(cached.r[0], 5u);
   EXPECT_EQ(uncached.r[0], 5u);
-  EXPECT_EQ(jitted.r[0], 5u);
 }
 
 // --- Enclave workloads (page tables + monitor in the loop) -----------------------
 
-// Runs `fn` against a cached, an uncached and a JIT-enabled world and
-// requires identical SMC results and machine state. On hosts without JIT
-// support the third world degenerates into a second cached interpreter.
+// Runs `fn` against a cached and an uncached world and requires identical
+// SMC results and machine state.
 template <typename Fn>
 void DiffWorlds(Fn fn) {
   os::World cached{64};
   os::World uncached{64};
-  os::World jitted{64};
   cached.machine.interp.set_enabled(true);
-  cached.machine.jit.set_enabled(false);
   uncached.machine.interp.set_enabled(false);
-  uncached.machine.jit.set_enabled(false);
-  jitted.machine.interp.set_enabled(true);
-  jitted.machine.jit.set_enabled(true);
   fn(cached);
   fn(uncached);
-  fn(jitted);
   ExpectSameState(cached.machine, uncached.machine);
-  ExpectSameState(jitted.machine, cached.machine);
 }
 
 TEST(InterpDiffTest, Sha256EnclaveMatches) {

@@ -2,7 +2,8 @@
 // (DESIGN.md §10): the flag corners a structured generator rarely reaches —
 // immediate-rotate carry-out, RRX, the LSR/ASR #32 encodings, the cond
 // 0b1110/0b1111 boundary, LDM/STM with the base register in the list, and
-// the PC-as-data conventions (STR stores insn_addr+8, LDR masks alignment).
+// the PC-as-data conventions (STR stores insn_addr+8, LDR masks alignment),
+// plus RunUntilException's step budget.
 #include <gtest/gtest.h>
 
 #include "src/arm/assembler.h"
@@ -203,6 +204,24 @@ TEST(IsaEdge, LdmIntoPcMasksAlignmentBits) {
   const std::optional<Exception> exc = RunUntilException(m, 1000);
   EXPECT_EQ(exc, Exception::kSvc);
   EXPECT_EQ(m.r[5], 0x99u);
+}
+
+TEST(IsaEdge, BudgetExhaustionRetiresExactStepCount) {
+  // An infinite loop: RunUntilException must stop with no exception after
+  // exactly max_steps retired instructions, mid-way through a loop lap.
+  Assembler a(kCodeBase);
+  Assembler::Label loop = a.NewLabel();
+  a.Bind(loop);
+  a.Add(R0, R0, 1);
+  a.Add(R1, R1, 2);
+  a.Add(R2, R2, 3);
+  a.B(loop);
+  MachineState m = MakeMachine(a.Finish());
+  EXPECT_EQ(RunUntilException(m, 107), std::nullopt);
+  EXPECT_EQ(m.steps_retired, 107u);
+  // 26 four-instruction laps, then the three ADDs of the 27th.
+  EXPECT_EQ(m.r[0], 27u);
+  EXPECT_EQ(m.r[2], 81u);
 }
 
 }  // namespace

@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
     bench.Config("pages", static_cast<uint64_t>(spec.pages));
     bench.Config("max_addrspaces", static_cast<uint64_t>(spec.max_addrspaces));
     bench.Config("inject", spec.inject.empty() ? "none" : spec.inject);
-    bench.HostConfig(KOMODO_BUILD_TYPE);
+    bench.HostConfig();
     bench.Result("explore", "states", static_cast<double>(r.states), "count");
     bench.Result("explore", "transitions", static_cast<double>(r.transitions), "count");
     bench.Result("explore", "clipped", static_cast<double>(r.clipped), "count");
