@@ -10,6 +10,7 @@
 
 #include "src/arm/cycle_model.h"
 #include "src/arm/machine.h"
+#include "src/core/kom_defs.h"
 
 namespace komodo {
 
@@ -27,6 +28,19 @@ class MonitorOps {
   void StorePhys(paddr addr, word value) {
     m_.cycles.Charge(kCosts.store);
     m_.mem.Write(addr, value);
+  }
+
+  // --- Whole pages: one bulk access, charged as the per-word loop it replaces
+  // (per word: increment, compare and predicted branch, plus its load/store).
+  void CopyPagePhys(paddr dst, paddr src) {
+    m_.cycles.Charge(arm::kWordsPerPage * (kLoopCycles + kCosts.load + kCosts.store));
+    word buf[arm::kWordsPerPage];
+    m_.mem.ReadPage(src, buf);
+    m_.mem.WritePage(dst, buf);
+  }
+  void ZeroPagePhys(paddr dst) {
+    m_.cycles.Charge(arm::kWordsPerPage * (kLoopCycles + kCosts.store));
+    m_.mem.ZeroPage(dst);
   }
 
   // --- Register file ---------------------------------------------------------
@@ -55,9 +69,6 @@ class MonitorOps {
   // --- Pure compute ----------------------------------------------------------
   void ChargeAlu(uint64_t n = 1) { m_.cycles.Charge(n * kCosts.alu); }
   void ChargeBranch() { m_.cycles.Charge(kCosts.branch_taken); }
-  // One iteration of a per-word page loop: pointer increment, compare, and a
-  // (mostly predicted) backward branch.
-  void ChargeLoopIteration() { m_.cycles.Charge(3); }
   // One SHA-256 compression function in unoptimised ARM assembly. Calibrated
   // against the paper's Attest/Verify rows (≈5 compressions each).
   void ChargeSha256Blocks(uint64_t blocks) { m_.cycles.Charge(blocks * kSha256BlockCycles); }
@@ -66,6 +77,7 @@ class MonitorOps {
 
  private:
   static constexpr arm::CycleCosts kCosts = arm::kCortexA7Costs;
+  static constexpr uint64_t kLoopCycles = 3;
   arm::MachineState& m_;
 };
 

@@ -2,6 +2,13 @@
 
 #include <cstring>
 
+#include "src/crypto/sha256_internal.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace komodo::crypto {
 
 namespace {
@@ -31,16 +38,9 @@ inline uint32_t SmallSigma1(uint32_t x) { return Rotr(x, 17) ^ Rotr(x, 19) ^ (x 
 
 }  // namespace
 
-void Sha256::Reset() {
-  std::memcpy(state_.data(), kInitState, sizeof(kInitState));
-  // Zeroed so Export() is a pure function of the absorbed input (the
-  // refinement tests compare serialised streams bit-for-bit).
-  std::memset(buffer_, 0, sizeof(buffer_));
-  buffer_len_ = 0;
-  total_len_ = 0;
-}
+namespace internal {
 
-void Sha256::Compress(const uint8_t block[kSha256BlockBytes]) {
+void Sha256CompressGeneric(uint32_t state[8], const uint8_t block[kSha256BlockBytes]) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
@@ -51,8 +51,8 @@ void Sha256::Compress(const uint8_t block[kSha256BlockBytes]) {
     w[i] = SmallSigma1(w[i - 2]) + w[i - 7] + SmallSigma0(w[i - 15]) + w[i - 16];
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kRoundConstants[i] + w[i];
     const uint32_t t2 = BigSigma0(a) + Maj(a, b, c);
@@ -65,14 +65,103 @@ void Sha256::Compress(const uint8_t block[kSha256BlockBytes]) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+// Intel's SHA extensions sequence. The state is held split as ABEF/CDGH; each
+// group g of four rounds is two sha256rnds2 steps. Within group g, msg2
+// completes the schedule words of group g+1 and msg1 begins those of g+3.
+__attribute__((target("sha,sse4.1,ssse3"))) void Sha256CompressShaNi(
+    uint32_t state[8], const uint8_t block[kSha256BlockBytes]) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const auto load = [](const void* p) { return _mm_loadu_si128(static_cast<const __m128i*>(p)); };
+  __m128i tmp = _mm_shuffle_epi32(load(state), 0xB1);       // CDAB
+  __m128i cdgh = _mm_shuffle_epi32(load(state + 4), 0x1B);  // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i w[4];
+  for (int i = 0; i < 4; ++i) {
+    w[i] = _mm_shuffle_epi8(load(block + 16 * i), byte_swap);
+  }
+  for (int g = 0; g < 16; ++g) {
+    __m128i& cur = w[g & 3];
+    __m128i& prev = w[(g + 3) & 3];
+    __m128i msg = _mm_add_epi32(cur, load(&kRoundConstants[4 * g]));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+    if (g >= 3 && g < 15) {
+      __m128i& next = w[(g + 1) & 3];
+      next = _mm_sha256msg2_epu32(_mm_add_epi32(next, _mm_alignr_epi8(cur, prev, 4)), cur);
+    }
+    msg = _mm_shuffle_epi32(msg, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+    if (g >= 1 && g < 13) {
+      prev = _mm_sha256msg1_epu32(prev, cur);
+    }
+  }
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(tmp, cdgh, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(cdgh, tmp, 8));
+}
+#endif
+
+bool HostHasShaNi() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  const bool ssse3 = (ecx & bit_SSSE3) != 0;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  return ssse3 && sse41 && (ebx & bit_SHA) != 0;
+#else
+  return false;
+#endif
+}
+
+}  // namespace internal
+
+namespace {
+
+// Decided on first use, once per process.
+Sha256CompressFn SelectedCompress() {
+#if defined(__x86_64__)
+  static const Sha256CompressFn selected =
+      internal::HostHasShaNi() ? internal::Sha256CompressShaNi : internal::Sha256CompressGeneric;
+  return selected;
+#else
+  return internal::Sha256CompressGeneric;
+#endif
+}
+
+}  // namespace
+
+Sha256::Sha256() : Sha256(SelectedCompress()) {}
+
+void Sha256::Reset() {
+  std::memcpy(state_.data(), kInitState, sizeof(kInitState));
+  // Zeroed so Export() is a pure function of the absorbed input (the
+  // refinement tests compare serialised streams bit-for-bit).
+  std::memset(buffer_, 0, sizeof(buffer_));
+  buffer_len_ = 0;
+  total_len_ = 0;
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
@@ -84,7 +173,7 @@ void Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == kSha256BlockBytes) {
-      Compress(buffer_);
+      compress_(state_.data(), buffer_);
       buffer_len_ = 0;
     }
   }

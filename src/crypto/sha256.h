@@ -21,9 +21,16 @@ using Digest = std::array<uint8_t, kSha256DigestBytes>;
 // Word view of a digest (big-endian words, as the monitor stores them).
 using DigestWords = std::array<uint32_t, kSha256DigestWords>;
 
+// Folds one 64-byte block into the 8-word chaining state.
+using Sha256CompressFn = void (*)(uint32_t state[8], const uint8_t block[kSha256BlockBytes]);
+
 class Sha256 {
  public:
-  Sha256() { Reset(); }
+  // Uses the fastest compression the host supports (SHA-NI where CPUID
+  // reports it); every choice computes the same function.
+  Sha256();
+  // Runs the stream on `compress` (sha256_internal.h names the choices).
+  explicit Sha256(Sha256CompressFn compress) : compress_(compress) { Reset(); }
 
   void Reset();
   void Update(const uint8_t* data, size_t len);
@@ -49,8 +56,7 @@ class Sha256 {
   void Import(const std::array<uint32_t, kExportWords>& words);
 
  private:
-  void Compress(const uint8_t block[kSha256BlockBytes]);
-
+  Sha256CompressFn compress_;
   std::array<uint32_t, 8> state_;
   uint8_t buffer_[kSha256BlockBytes];
   size_t buffer_len_ = 0;

@@ -206,7 +206,7 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
       case OpKind::kSmc: {
         const std::array<word, 4> args{op.a[1], op.a[2], op.a[3], op.a[4]};
         const bool enterish = op.a[0] == kSmcEnter || op.a[0] == kSmcResume;
-        spec::Result expected{};
+        spec::Result expected{0, spec::PageDb()};
         if (with_spec) {
           expected = spec::ApplySmc(d, w.machine, op.a[0], args);
         }

@@ -157,6 +157,7 @@ class Os {
   // Direct access to insecure RAM (the OS can read/write it freely).
   void WriteInsecure(word pgnr, word word_offset, word value);
   word ReadInsecure(word pgnr, word word_offset) const;
+  // Writes `words` to the start of the page and zeroes the rest.
   void WriteInsecurePage(word pgnr, const std::vector<word>& words);
 
   // --- Enclave construction / teardown -----------------------------------------

@@ -208,7 +208,7 @@ PageDbEntry DecodeEntry(Extraction& x, PageNr n, word type_word, PageNr owner) {
 }  // namespace
 
 std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError* err) {
-  Extraction x{m, ReadGlobal(m, kGlobalNPages)};
+  Extraction x{m, ReadGlobal(m, kGlobalNPages), false, {}};
   PageDb d(x.npages);
   for (PageNr n = 0; n < x.npages && !x.failed; ++n) {
     d[n] = DecodeEntry(x, n, ReadDbField(m, n, kDbType), ReadDbField(m, n, kDbOwner));
@@ -222,7 +222,7 @@ std::optional<PageDb> TryExtractPageDb(const arm::MachineState& m, ExtractError*
 bool TryReextractPageDb(const arm::MachineState& m, const PageDb& base,
                         std::optional<PageDb>* changed, ExtractError* err) {
   changed->reset();
-  Extraction x{m, ReadGlobal(m, kGlobalNPages)};
+  Extraction x{m, ReadGlobal(m, kGlobalNPages), false, {}};
   if (x.npages != base.NPages()) {
     *changed = TryExtractPageDb(m, err);
     return changed->has_value();

@@ -2,35 +2,105 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "src/crypto/sha256_internal.h"
+
 namespace komodo::crypto {
 namespace {
 
 std::vector<uint8_t> Bytes(const std::string& s) { return {s.begin(), s.end()}; }
 
-TEST(Sha256Test, Fips180EmptyString) {
-  EXPECT_EQ(DigestToHex(Sha256Hash(Bytes(""))),
+// The compression functions the host can run: the generic one everywhere,
+// SHA-NI where CPUID reports it. Each FIPS 180 vector runs on both.
+enum class Path { kGeneric, kShaNi };
+
+Sha256CompressFn CompressFor(Path p) {
+  if (p == Path::kGeneric) {
+    return internal::Sha256CompressGeneric;
+  }
+#if defined(__x86_64__)
+  if (internal::HostHasShaNi()) {
+    return internal::Sha256CompressShaNi;
+  }
+#endif
+  return nullptr;
+}
+
+#define SKIP_IF_UNAVAILABLE(path)                                                     \
+  if (CompressFor(path) == nullptr) {                                                 \
+    GTEST_SKIP() << "host CPU lacks SHA-NI (CPUID leaf 7 EBX bit 29, SSSE3, SSE4.1)"; \
+  }
+
+std::string HexOf(Path p, const std::vector<uint8_t>& data) {
+  Sha256 h(CompressFor(p));
+  h.Update(data);
+  return DigestToHex(h.Finalize());
+}
+
+class Sha256PathTest : public ::testing::TestWithParam<Path> {};
+
+TEST_P(Sha256PathTest, Fips180EmptyString) {
+  SKIP_IF_UNAVAILABLE(GetParam());
+  EXPECT_EQ(HexOf(GetParam(), Bytes("")),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
-TEST(Sha256Test, Fips180Abc) {
-  EXPECT_EQ(DigestToHex(Sha256Hash(Bytes("abc"))),
+TEST_P(Sha256PathTest, Fips180Abc) {
+  SKIP_IF_UNAVAILABLE(GetParam());
+  EXPECT_EQ(HexOf(GetParam(), Bytes("abc")),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
-TEST(Sha256Test, Fips180TwoBlocks) {
-  EXPECT_EQ(DigestToHex(Sha256Hash(
-                Bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+TEST_P(Sha256PathTest, Fips180TwoBlocks) {
+  SKIP_IF_UNAVAILABLE(GetParam());
+  EXPECT_EQ(HexOf(GetParam(), Bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
-TEST(Sha256Test, Fips180MillionAs) {
-  Sha256 h;
+TEST_P(Sha256PathTest, Fips180MillionAs) {
+  SKIP_IF_UNAVAILABLE(GetParam());
+  Sha256 h(CompressFor(GetParam()));
   const std::vector<uint8_t> chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) {
     h.Update(chunk.data(), chunk.size());
   }
   EXPECT_EQ(DigestToHex(h.Finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+INSTANTIATE_TEST_SUITE_P(Compress, Sha256PathTest, ::testing::Values(Path::kGeneric, Path::kShaNi),
+                         [](const ::testing::TestParamInfo<Path>& p) {
+                           return p.param == Path::kGeneric ? "Generic" : "ShaNi";
+                         });
+
+// Random messages (0 to 2 KiB) fed in random pieces: the two paths agree on
+// every exported stream state, including the stale buffer tail the monitor
+// stores in the address-space page, and on the digest.
+TEST(Sha256PathDiffTest, ShaNiMatchesGenericOnRandomSplits) {
+  SKIP_IF_UNAVAILABLE(Path::kShaNi);
+  std::mt19937_64 rng(20261018);
+  for (int iter = 0; iter < 300; ++iter) {
+    const size_t len = rng() % 2049;
+    std::vector<uint8_t> msg(len);
+    for (uint8_t& b : msg) {
+      b = static_cast<uint8_t>(rng());
+    }
+    Sha256 generic(CompressFor(Path::kGeneric));
+    Sha256 sha_ni(CompressFor(Path::kShaNi));
+    size_t at = 0;
+    while (at < len) {
+      const size_t take = 1 + rng() % (len - at);
+      generic.Update(msg.data() + at, take);
+      sha_ni.Update(msg.data() + at, take);
+      at += take;
+      ASSERT_EQ(generic.Export(), sha_ni.Export()) << "len=" << len << " at=" << at;
+    }
+    const Digest d = generic.Finalize();
+    ASSERT_EQ(d, sha_ni.Finalize()) << "len=" << len;
+    ASSERT_EQ(generic.Export(), sha_ni.Export()) << "len=" << len;
+    ASSERT_EQ(d, Sha256Hash(msg)) << "len=" << len;
+  }
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {
