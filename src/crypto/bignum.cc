@@ -5,6 +5,93 @@
 
 namespace komodo::crypto {
 
+namespace {
+
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') {
+    return c - '0';
+  }
+  if (c >= 'a' && c <= 'f') {
+    return c - 'a' + 10;
+  }
+  if (c >= 'A' && c <= 'F') {
+    return c - 'A' + 10;
+  }
+  return -1;
+}
+
+using u128 = unsigned __int128;
+
+// Montgomery arithmetic modulo an odd m of n 64-bit limbs, with R = 2^(64n).
+// Values in Montgomery form are x*R mod m, held in n little-endian limbs.
+struct Montgomery {
+  const uint64_t* m;
+  size_t n;
+  uint64_t m_inv;  // -m^-1 mod 2^64
+  uint64_t* t;     // n + 2 limbs of scratch
+
+  // out = a * b * R^-1 mod m for a, b < m (CIOS: Koç, Acar and Kaliski,
+  // "Analyzing and comparing Montgomery multiplication algorithms", 1996).
+  // `out` may alias `a` or `b`: it is written only after both are read.
+  void Mul(const uint64_t* a, const uint64_t* b, uint64_t* out) const {
+    std::fill(t, t + n + 2, 0);
+    for (size_t i = 0; i < n; ++i) {
+      // t += a[i] * b
+      uint64_t carry = 0;
+      for (size_t j = 0; j < n; ++j) {
+        const u128 p = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
+        t[j] = static_cast<uint64_t>(p);
+        carry = static_cast<uint64_t>(p >> 64);
+      }
+      u128 s = static_cast<u128>(t[n]) + carry;
+      t[n] = static_cast<uint64_t>(s);
+      t[n + 1] = static_cast<uint64_t>(s >> 64);
+      // t = (t + u*m) / 2^64, where u makes the low limb vanish.
+      const uint64_t u = t[0] * m_inv;
+      u128 p = static_cast<u128>(u) * m[0] + t[0];
+      carry = static_cast<uint64_t>(p >> 64);
+      for (size_t j = 1; j < n; ++j) {
+        p = static_cast<u128>(u) * m[j] + t[j] + carry;
+        t[j - 1] = static_cast<uint64_t>(p);
+        carry = static_cast<uint64_t>(p >> 64);
+      }
+      s = static_cast<u128>(t[n]) + carry;
+      t[n - 1] = static_cast<uint64_t>(s);
+      t[n] = t[n + 1] + static_cast<uint64_t>(s >> 64);
+    }
+    // Now t < 2m; subtract m once unless t < m.
+    uint64_t borrow = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const u128 d = static_cast<u128>(t[j]) - m[j] - borrow;
+      out[j] = static_cast<uint64_t>(d);
+      borrow = static_cast<uint64_t>(d >> 64) & 1;
+    }
+    if (t[n] == 0 && borrow != 0) {
+      std::copy(t, t + n, out);
+    }
+  }
+};
+
+// -m0^-1 mod 2^64 for odd m0. Newton's step x' = x(2 - m0 x) doubles the
+// number of correct low bits, and x = m0 is already correct to three.
+uint64_t NegInverse64(uint64_t m0) {
+  uint64_t inv = m0;
+  for (int i = 0; i < 5; ++i) {
+    inv *= 2 - m0 * inv;
+  }
+  return 0 - inv;
+}
+
+// Packs 32-bit little-endian limbs into n 64-bit limbs, zero-padding the top.
+void Pack64(const std::vector<uint32_t>& in, uint64_t* out, size_t n) {
+  std::fill(out, out + n, 0);
+  for (size_t i = 0; i < in.size(); ++i) {
+    out[i / 2] |= static_cast<uint64_t>(in[i]) << (32 * (i % 2));
+  }
+}
+
+}  // namespace
+
 void BigNum::Trim() {
   while (!limbs_.empty() && limbs_.back() == 0) {
     limbs_.pop_back();
@@ -28,19 +115,12 @@ BigNum::BigNum(uint64_t value) {
 }
 
 BigNum BigNum::FromBytesBe(const std::vector<uint8_t>& bytes) {
-  BigNum n;
-  for (uint8_t b : bytes) {
-    n = ShiftLeft(n, 8);
-    if (b != 0 || !n.limbs_.empty()) {
-      if (n.limbs_.empty()) {
-        n.limbs_.push_back(b);
-      } else {
-        n.limbs_[0] |= b;
-      }
-    }
+  std::vector<uint32_t> limbs((bytes.size() + 3) / 4, 0);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    const size_t pos = bytes.size() - 1 - i;  // byte index from the least significant end
+    limbs[pos / 4] |= static_cast<uint32_t>(bytes[i]) << (8 * (pos % 4));
   }
-  n.Trim();
-  return n;
+  return FromLimbs(std::move(limbs));
 }
 
 std::vector<uint8_t> BigNum::ToBytesBe(size_t min_len) const {
@@ -63,29 +143,23 @@ std::vector<uint8_t> BigNum::ToBytesBe(size_t min_len) const {
 }
 
 BigNum BigNum::FromHex(const std::string& hex) {
-  BigNum n;
+  // Non-hex characters are skipped, so count the digits before packing.
+  size_t ndigits = 0;
   for (char c : hex) {
-    uint32_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<uint32_t>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      digit = static_cast<uint32_t>(c - 'A' + 10);
-    } else {
-      continue;
-    }
-    n = ShiftLeft(n, 4);
-    if (digit != 0) {
-      if (n.limbs_.empty()) {
-        n.limbs_.push_back(digit);
-      } else {
-        n.limbs_[0] |= digit;
-      }
+    if (HexDigit(c) >= 0) {
+      ++ndigits;
     }
   }
-  n.Trim();
-  return n;
+  std::vector<uint32_t> limbs((ndigits + 7) / 8, 0);
+  size_t pos = ndigits;  // digit index from the least significant end, plus one
+  for (char c : hex) {
+    const int digit = HexDigit(c);
+    if (digit >= 0) {
+      --pos;
+      limbs[pos / 8] |= static_cast<uint32_t>(digit) << (4 * (pos % 8));
+    }
+  }
+  return FromLimbs(std::move(limbs));
 }
 
 std::string BigNum::ToHex() const {
@@ -366,7 +440,68 @@ BigNum BigNum::MulMod(const BigNum& a, const BigNum& b, const BigNum& m) {
 
 BigNum BigNum::ModExp(const BigNum& base, const BigNum& exp, const BigNum& m) {
   assert(!m.IsZero());
-  BigNum result(1);
+  if (!m.IsOdd()) {
+    return ModExpDivMod(base, exp, m);
+  }
+  constexpr size_t kWindowBits = 4;
+  constexpr size_t kTableSize = size_t{1} << kWindowBits;
+  const size_t n = (m.limbs_.size() + 1) / 2;
+
+  // One allocation for every buffer: five n-limb values, the window table of
+  // base^i in Montgomery form, and n + 2 limbs of product scratch.
+  std::vector<uint64_t> buf((5 + kTableSize) * n + (n + 2));
+  uint64_t* const mod = buf.data();
+  uint64_t* const r2 = mod + n;
+  uint64_t* const x = r2 + n;
+  uint64_t* const one = x + n;
+  uint64_t* const acc = one + n;
+  uint64_t* const table = acc + n;
+  uint64_t* const t = table + kTableSize * n;
+  Pack64(m.limbs_, mod, n);
+  Pack64(Mod(ShiftLeft(BigNum(1), 128 * n), m).limbs_, r2, n);
+  Pack64(Mod(base, m).limbs_, x, n);
+  const Montgomery mont{mod, n, NegInverse64(mod[0]), t};
+
+  // table[i] = base^i * R mod m; table[0] is R mod m, the Montgomery one.
+  one[0] = 1;
+  mont.Mul(one, r2, table);
+  mont.Mul(x, r2, table + n);
+  for (size_t i = 2; i < kTableSize; ++i) {
+    mont.Mul(table + (i - 1) * n, table + n, table + i * n);
+  }
+
+  // Left-to-right over fixed windows; the top window may be short.
+  const size_t nbits = exp.BitLength();
+  const size_t windows = (nbits + kWindowBits - 1) / kWindowBits;
+  std::copy(table, table + n, acc);
+  for (size_t w = windows; w-- > 0;) {
+    size_t digit = 0;
+    for (size_t b = kWindowBits; b-- > 0;) {
+      digit = (digit << 1) | (exp.Bit(w * kWindowBits + b) ? 1 : 0);
+    }
+    if (w + 1 < windows) {
+      for (size_t s = 0; s < kWindowBits; ++s) {
+        mont.Mul(acc, acc, acc);
+      }
+    }
+    if (digit != 0) {
+      mont.Mul(acc, table + digit * n, acc);
+    }
+  }
+  // Leave Montgomery form: acc * 1 * R^-1.
+  mont.Mul(acc, one, acc);
+
+  std::vector<uint32_t> limbs(2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    limbs[2 * i] = static_cast<uint32_t>(acc[i]);
+    limbs[2 * i + 1] = static_cast<uint32_t>(acc[i] >> 32);
+  }
+  return FromLimbs(std::move(limbs));
+}
+
+BigNum BigNum::ModExpDivMod(const BigNum& base, const BigNum& exp, const BigNum& m) {
+  assert(!m.IsZero());
+  BigNum result = Mod(BigNum(1), m);
   BigNum acc = Mod(base, m);
   const size_t nbits = exp.BitLength();
   for (size_t i = 0; i < nbits; ++i) {

@@ -1,5 +1,6 @@
 // Arbitrary-precision unsigned integers, sized for RSA-1024 (the notary
-// workload of §8.2). 32-bit limbs, little-endian limb order. Only the
+// workload of §8.2). 32-bit limbs, little-endian limb order; ModExp repacks
+// odd moduli into 64-bit limbs for Montgomery multiplication. Only the
 // operations RSA needs are provided; everything is deterministic and
 // allocation-light but not constant-time (the notary is an example
 // application, not part of the monitor's TCB).
@@ -47,9 +48,16 @@ class BigNum {
   static BigNum ShiftLeft(const BigNum& a, size_t bits);
   static BigNum ShiftRight(const BigNum& a, size_t bits);
 
-  // (a * b) mod m and a^e mod m (square-and-multiply).
+  // (a * b) mod m.
   static BigNum MulMod(const BigNum& a, const BigNum& b, const BigNum& m);
+  // base^exp mod m. Odd moduli (every RSA and Miller-Rabin modulus) use
+  // Montgomery products over fixed 4-bit exponent windows; even moduli fall
+  // back to ModExpDivMod.
   static BigNum ModExp(const BigNum& base, const BigNum& exp, const BigNum& m);
+  // base^exp mod m by right-to-left square-and-multiply with a Knuth-D
+  // reduction after every product: the even-modulus path of ModExp, and the
+  // reference its Montgomery path is tested against.
+  static BigNum ModExpDivMod(const BigNum& base, const BigNum& exp, const BigNum& m);
 
   static BigNum Gcd(BigNum a, BigNum b);
   // Modular inverse of a mod m; returns false if gcd(a, m) != 1.

@@ -36,6 +36,20 @@ ObligationResult FailOb(std::string detail, word impl_err) {
   return res;
 }
 
+// A passing transition. Obligation 1 is checked again on the successor:
+// states resynchronized from the machine after havoc transitions never went
+// through the spec-side check. The result is built around `successor` rather
+// than assigned into, so no engaged optional is ever overwritten.
+ObligationResult Succeed(word impl_err, std::optional<spec::PageDb> successor) {
+  if (successor.has_value()) {
+    const auto violations = spec::PageDbViolations(*successor);
+    if (!violations.empty()) {
+      return FailOb("impl breaks invariant: " + violations.front(), impl_err);
+    }
+  }
+  return ObligationResult{true, std::string(), impl_err, std::move(successor)};
+}
+
 }  // namespace
 
 ConcreteWorld::ConcreteWorld(const WorldSpec& spec)
@@ -152,9 +166,6 @@ ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
     return FailOb("extraction failed after impl call: " + out.extract_error, out.impl_err);
   }
 
-  ObligationResult res;
-  res.impl_err = out.impl_err;
-
   const bool enterish = !op.is_svc && (op.call == kSmcEnter || op.call == kSmcResume);
   const bool havoc_svc =
       op.is_svc && (op.call == kSvcExit || op.call == kSvcAttest || op.call == kSvcVerify);
@@ -168,43 +179,35 @@ ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
                         KomErrName(out.impl_err),
                     out.impl_err);
     }
-    res.successor = std::move(out.post);  // nullopt when no entry changed
-  } else if (havoc_svc) {
+    return Succeed(out.impl_err, std::move(out.post));  // nullopt when no entry changed
+  }
+  if (havoc_svc) {
     // Guard-only specs whose failures live in user-memory havoc (Attest and
     // Verify fault on bad virtual addresses; Exit cannot fail). The error
     // set is still pinned: the explorer compares every observed error
     // against the registry row, so an undeclared failure mode fails the run.
-    res.successor = std::move(out.post);
-  } else {
-    if (out.impl_err != sres.err) {
+    return Succeed(out.impl_err, std::move(out.post));
+  }
+  if (out.impl_err != sres.err) {
+    return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
+                      " impl=" + KomErrName(out.impl_err) + " spec=" + KomErrName(sres.err),
+                  out.impl_err);
+  }
+  if (sres.err == kErrSuccess) {
+    const spec::PageDb& got = out.post.has_value() ? *out.post : d;
+    if (!(got == sres.db)) {
       return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
-                        " impl=" + KomErrName(out.impl_err) + " spec=" + KomErrName(sres.err),
+                        " pagedb diverges from spec",
                     out.impl_err);
     }
-    if (sres.err == kErrSuccess) {
-      const spec::PageDb& got = out.post.has_value() ? *out.post : d;
-      if (!(got == sres.db)) {
-        return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
-                          " pagedb diverges from spec",
-                      out.impl_err);
-      }
-      res.successor = std::move(sres.db);
-    } else if (out.post.has_value() && !(*out.post == d)) {
-      return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
-                        " failed with " + KomErrName(out.impl_err) + " but mutated the pagedb",
-                    out.impl_err);
-    }
+    return Succeed(out.impl_err, std::move(sres.db));
   }
-
-  // Obligation 1 on the implementation side of havoc transitions: states we
-  // resynchronized from the machine never went through the spec check above.
-  if (res.successor.has_value()) {
-    const auto violations = spec::PageDbViolations(*res.successor);
-    if (!violations.empty()) {
-      return FailOb("impl breaks invariant: " + violations.front(), out.impl_err);
-    }
+  if (out.post.has_value() && !(*out.post == d)) {
+    return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
+                      " failed with " + KomErrName(out.impl_err) + " but mutated the pagedb",
+                  out.impl_err);
   }
-  return res;
+  return Succeed(out.impl_err, std::nullopt);
 }
 
 }  // namespace komodo::verify

@@ -26,6 +26,24 @@ TEST(BigNumTest, BytesBeRoundTrip) {
   EXPECT_EQ(n.ToBytesBe(16)[0], 0u);
 }
 
+TEST(BigNumTest, ImportsSkipLeadingZeros) {
+  EXPECT_EQ(BigNum::FromBytesBe({0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02}), BigNum(0x102));
+  EXPECT_EQ(BigNum::FromHex("0000000000000000abc"), BigNum(0xabc));
+  EXPECT_TRUE(BigNum::FromBytesBe({}).IsZero());
+  EXPECT_TRUE(BigNum::FromBytesBe({0x00, 0x00}).IsZero());
+  EXPECT_TRUE(BigNum::FromHex("").IsZero());
+  EXPECT_EQ(BigNum::FromHex("12 34:56").ToU64(), 0x123456u);  // non-hex characters skipped
+  // Round trips at every byte length across several limbs.
+  HashDrbg drbg(9);
+  for (size_t bits = 2; bits <= 200; ++bits) {
+    const BigNum v = BigNum::Random(&drbg, bits, false);
+    EXPECT_EQ(BigNum::FromBytesBe(v.ToBytesBe()), v) << bits;
+    EXPECT_EQ(BigNum::FromBytesBe(v.ToBytesBe(40)), v) << bits;
+    EXPECT_EQ(BigNum::FromHex(v.ToHex()), v) << bits;
+    EXPECT_EQ(BigNum::FromHex("000" + v.ToHex()), v) << bits;
+  }
+}
+
 TEST(BigNumTest, CompareAndBitLength) {
   EXPECT_EQ(BigNum(0).BitLength(), 0u);
   EXPECT_EQ(BigNum(1).BitLength(), 1u);
@@ -132,6 +150,51 @@ TEST(BigNumTest, ModExpLargeKnownValue) {
   const BigNum base2 = BigNum::MulMod(base, base, mod);
   const BigNum alt = BigNum::MulMod(BigNum::ModExp(base2, BigNum(32768), mod), base, mod);
   EXPECT_EQ(result, alt);
+}
+
+// The Montgomery path of ModExp (odd moduli) must agree bit for bit with the
+// DivMod square-and-multiply reference.
+void ExpectModExpMatchesReference(const BigNum& base, const BigNum& exp, const BigNum& m) {
+  EXPECT_EQ(BigNum::ModExp(base, exp, m), BigNum::ModExpDivMod(base, exp, m))
+      << "base=" << base.ToHex() << " exp=" << exp.ToHex() << " m=" << m.ToHex();
+}
+
+TEST(BigNumTest, MontgomeryModExpMatchesReference) {
+  HashDrbg drbg(10);
+  // Single 32-bit limb, one 64-bit limb, and odd 32-bit limb counts (65, 95,
+  // 129 and 513 bits) that leave the top 64-bit limb half empty.
+  for (size_t bits : {2u, 17u, 32u, 33u, 63u, 64u, 65u, 95u, 127u, 128u, 129u, 511u, 512u,
+                      513u, 1024u, 2048u}) {
+    const int cases = bits >= 1024 ? 2 : 8;
+    for (int i = 0; i < cases; ++i) {
+      const BigNum m = BigNum::Random(&drbg, bits, /*odd=*/true);
+      const BigNum m_minus_1 = BigNum::Sub(m, BigNum(1));
+      const BigNum exp = BigNum::Random(&drbg, 2 + drbg.Below(bits), false);
+      ExpectModExpMatchesReference(BigNum::Random(&drbg, bits + 1, false), exp, m);
+      ExpectModExpMatchesReference(BigNum::Random(&drbg, 2 + drbg.Below(bits), false), exp, m);
+      ExpectModExpMatchesReference(m_minus_1, exp, m);
+      ExpectModExpMatchesReference(m_minus_1, m_minus_1, m);  // Fermat-style full exponent
+      ExpectModExpMatchesReference(BigNum(), exp, m);
+      ExpectModExpMatchesReference(m, exp, m);
+      ExpectModExpMatchesReference(BigNum::Add(m, BigNum(5)), exp, m);
+      ExpectModExpMatchesReference(BigNum::Mul(m, m), exp, m);
+      ExpectModExpMatchesReference(m_minus_1, BigNum(), m);
+      ExpectModExpMatchesReference(m_minus_1, BigNum(1), m);
+      ExpectModExpMatchesReference(BigNum(), BigNum(), m);
+    }
+  }
+  // Moduli of all-ones limbs keep intermediate products near R.
+  for (size_t bits : {64u, 128u, 512u}) {
+    const BigNum m = BigNum::Sub(BigNum::ShiftLeft(BigNum(1), bits), BigNum(1));
+    const BigNum m_minus_1 = BigNum::Sub(m, BigNum(1));
+    ExpectModExpMatchesReference(m_minus_1, m_minus_1, m);
+    ExpectModExpMatchesReference(BigNum::Random(&drbg, bits, false), BigNum(65537), m);
+  }
+  // m = 1: every power is 0.
+  EXPECT_TRUE(BigNum::ModExp(BigNum(5), BigNum(0), BigNum(1)).IsZero());
+  EXPECT_TRUE(BigNum::ModExp(BigNum(5), BigNum(3), BigNum(1)).IsZero());
+  ExpectModExpMatchesReference(BigNum(5), BigNum(0), BigNum(1));
+  ExpectModExpMatchesReference(BigNum(5), BigNum(7), BigNum(1));
 }
 
 TEST(BigNumTest, GcdAndModInverse) {

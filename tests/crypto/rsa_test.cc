@@ -26,6 +26,37 @@ TEST(RsaTest, KeyGenDeterministicFromSeed) {
   EXPECT_NE(RsaGenerateKey(&a, 512).pub.n, RsaGenerateKey(&c, 512).pub.n);
 }
 
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char* kHex = "0123456789abcdef";
+  std::string s;
+  for (uint8_t b : bytes) {
+    s += kHex[b >> 4];
+    s += kHex[b & 0xf];
+  }
+  return s;
+}
+
+TEST(RsaTest, NotaryKeyKnownAnswer) {
+  // The notary's RSA-1024 key (key seed 4242, as the benchmarks use) and one
+  // signature, pinned so that any drift in the prime search (Miller-Rabin runs
+  // through ModExp), CRT signing or byte encoding shows.
+  HashDrbg drbg(4242);
+  const RsaKeyPair key = RsaGenerateKey(&drbg, 1024);
+  EXPECT_EQ(key.pub.n.ToHex(),
+            "d6fdced783cc2866851770db4158e3e7e39f31f9839e68db73f52295f24c0d05"
+            "c5e3024c53855523bd3b09164e7b55307d2d281422017c520e387779832a8135"
+            "30e786d7ebe8f291847ed5a2b0a477acf2c81a8b8f9a2f117593427d638ff100"
+            "304e332bfcfa161a06bcd1926150221d7833a999b6f045def609e07cec9c3621");
+  const std::vector<uint8_t> msg = Bytes("Komodo notary known-answer message");
+  const std::vector<uint8_t> sig = RsaSignSha256(key, msg.data(), msg.size());
+  EXPECT_EQ(Hex(sig),
+            "a7ab79bd8b95c0c16a068cae5c5f82bc90bf9f3af4cde52919a78f32a936868a"
+            "95c15d85b32e41d4c63c7a5dab6a9eeb36fba035353f32f8b97bd6b312daa5c0"
+            "e71dab005b72f4e8930fc52b572a7ddf3261668429e5d9c427f543d33e5fb064"
+            "f1ad1400efacdb879216f5f9acda355b531d9d301ed647079189d38f0d710d3c");
+  EXPECT_TRUE(RsaVerifySha256(key.pub, msg.data(), msg.size(), sig));
+}
+
 TEST(RsaTest, SignVerifyRoundTrip) {
   HashDrbg drbg(1);
   const RsaKeyPair key = RsaGenerateKey(&drbg, 512);
