@@ -27,35 +27,30 @@ for arg in "$@"; do
   esac
 done
 
-echo "=== [1/12] tier-1: configure + build ==="
+echo "=== [1/11] tier-1: configure + build ==="
 cmake -B build -S . $(generator_for build) -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build build -j "$JOBS"
 
-echo "=== [2/12] tier-1: ctest ==="
+echo "=== [2/11] tier-1: ctest ==="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [3/12] tier-1: ctest with interpreter caches disabled ==="
-# The fast-path caches (DESIGN.md §8) must be architecturally invisible;
-# the whole suite has to pass with them off as well.
-KOMODO_INTERP_CACHE=off ctest --test-dir build --output-on-failure -j "$JOBS"
-
-echo "=== [4/12] tier-1: ctest with tracing enabled ==="
+echo "=== [3/11] tier-1: ctest with tracing enabled ==="
 # The tracer (DESIGN.md §9) must be architecturally invisible too: the whole
 # suite — including the cycle-regression test — has to pass with every
 # monitor tracing into a live ring buffer.
 KOMODO_TRACE=on ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [5/12] bench smoke (cached/uncached invisibility check) ==="
+echo "=== [4/11] bench smoke ==="
 ctest --test-dir build -L bench-smoke --output-on-failure
 
-echo "=== [6/12] bench/trace JSON artifacts validate ==="
+echo "=== [5/11] bench/trace JSON artifacts validate ==="
 # The bench-smoke runs above emitted komodo-bench-v1 / komodo-metrics-v1 /
 # chrome-trace artifacts into build/bench; a drifting emitter fails here.
 ./build/tools/komodo-benchjson build/bench/BENCH_*.json \
   build/bench/METRICS_fig5_notary.json
 ./build/tools/komodo-benchjson --schema chrome build/bench/TRACE_fig5_notary.json
 
-echo "=== [7/12] komodo-serve: daemon smoke (batching, eviction, line protocol) ==="
+echo "=== [6/11] komodo-serve: daemon smoke (batching, eviction, line protocol) ==="
 # The scripted demo exercises batched submission, a typed timeout and an
 # eviction/rebuild, and exits nonzero if any expectation fails. The stdin
 # leg drives the line protocol end to end and must produce exactly the
@@ -85,11 +80,11 @@ printf 'session 1\nerror bad-argument\nerror bad-argument\nerror bad-argument\ne
 cmp build/serve-load-1.out build/serve-load-2.out \
   || { echo "komodo-serve: nondeterministic load run" >&2; exit 1; }
 
-echo "=== [8/12] komodo-lint: shipped programs + fixtures ==="
+echo "=== [7/11] komodo-lint: shipped programs + fixtures ==="
 ./build/tools/komodo-lint --check-shipped
 ./build/tools/komodo-lint --check-fixtures
 
-echo "=== [9/12] komodo-verify: exhaustive small-world closure ==="
+echo "=== [8/11] komodo-verify: exhaustive small-world closure ==="
 # The model checker (DESIGN.md §12) must close the default small world with
 # all three obligations holding, byte-identically across runs, and at the
 # pinned closure hash — any drift in the PageDb serialization, the symmetry
@@ -116,12 +111,12 @@ fi
 grep -q "^FAIL depth=1 " build/verify-dirty-bypass.out \
   || { echo "komodo-verify: dirty-bypass not caught at depth 1" >&2; exit 1; }
 
-echo "=== [10/12] komodo-fuzz smoke (fixed seed, all oracles, determinism) ==="
+echo "=== [9/11] komodo-fuzz smoke (fixed seed, all oracles, determinism) ==="
 # A short fixed-seed campaign per oracle (DESIGN.md §10). Run twice; stdout —
 # including the campaign-hash over every generated trace and verdict — must be
 # byte-identical, or the fuzzer has lost replayability. The interp oracle is
-# a cached/uncached bisimulation (DESIGN.md §8), so this smoke is also the
-# interpreter caches' randomized gate. The hash is pinned: a fast path in
+# a footprint-on/off bisimulation (DESIGN.md §8), so this smoke is also the
+# page-table footprint's randomized gate. The hash is pinned: a fast path in
 # the oracles (e.g. baseline-token memory equality, DESIGN.md §11) must not
 # change a single verdict. Re-pin only when a generator or oracle change is
 # *intended*.
@@ -134,7 +129,7 @@ cmp build/fuzz-smoke-1.out build/fuzz-smoke-2.out \
 grep -q "^campaign-hash ${FUZZ_HASH}\$" build/fuzz-smoke-1.out \
   || { echo "komodo-fuzz: smoke campaign hash drifted from the pinned value" >&2; exit 1; }
 
-echo "=== [11/12] komodo-fuzz parallel determinism (--jobs 1 vs --jobs 8) ==="
+echo "=== [10/11] komodo-fuzz parallel determinism (--jobs 1 vs --jobs 8) ==="
 # The sharded campaign hash (DESIGN.md §11) is defined to be independent of
 # the worker count; serial and 8-way stdout must be byte-identical.
 ./build/tools/komodo-fuzz "${FUZZ_ARGS[@]}" --jobs 8 2>/dev/null \
@@ -142,14 +137,14 @@ echo "=== [11/12] komodo-fuzz parallel determinism (--jobs 1 vs --jobs 8) ==="
 cmp build/fuzz-smoke-1.out build/fuzz-smoke-jobs8.out \
   || { echo "komodo-fuzz: --jobs changed the campaign output" >&2; exit 1; }
 
-echo "=== [12/12] komodo-fuzz evolve smoke (coverage-guided, pinned v3 hash) ==="
+echo "=== [11/11] komodo-fuzz evolve smoke (coverage-guided, pinned v3 hash) ==="
 # Coverage-guided corpus evolution (DESIGN.md §15) at a pinned config: the v3
 # campaign hash covers every trace, verdict, coverage gain and the final
 # corpus digests, must match the pinned value, and must be independent of
 # --jobs. Re-pin when a change to the generator, mutators or coverage
 # features is *intended* (the bench acceptance gate separately requires
 # evolve to beat blind coverage at equal budget).
-EVOLVE_HASH=f152aef2a98dd302ee60cabd44b8ca96f976f4e0a59c7990418b8ee0c124116a
+EVOLVE_HASH=d8b9636342be5efa7785ba48054a12ef40c04ac06cc35b2e53de6e24f0eaaccb
 EVOLVE_ARGS=(--mode evolve --seed 20260807 --calls 400 --trace-len 30
              --shards 4 --rounds 3 --max-corpus 32 --out build)
 ./build/tools/komodo-fuzz "${EVOLVE_ARGS[@]}" 2>/dev/null > build/fuzz-evolve-1.out

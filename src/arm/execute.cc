@@ -87,8 +87,7 @@ Translation TranslateAddress(const MachineState& m, vaddr va, Access access) {
     // obligation is to flush before entering, so a violation here is a bug in
     // the privileged code driving the machine, not an architectural fault.
     assert(m.tlb_consistent && "user-mode access with inconsistent TLB");
-    const WalkResult w = m.interp.enabled() ? m.interp.TlbWalk(m.mem, m.ttbr0, va)
-                                            : WalkPageTable(m.mem, m.ttbr0, va);
+    const WalkResult w = WalkPageTable(m.mem, m.ttbr0, va);
     if (!w.ok) {
       return t;
     }
@@ -142,8 +141,8 @@ StepResult Fault(MachineState& m, Exception e, word insn_addr) {
 // A store in the secure world that lands inside the live enclave page table
 // invalidates TLB consistency (§5.1). The OS's flat normal-world stores can
 // never reach secure memory, so only secure-world stores are checked. The
-// fast path answers through the cached page-table footprint; once the TLB is
-// already inconsistent there is nothing left for the check to change.
+// fast path answers through the page-table footprint (DESIGN.md §8); once the
+// TLB is already inconsistent there is nothing left for the check to change.
 void NoteStore(MachineState& m, paddr phys) {
   if (m.CurrentWorld() != World::kSecure || m.ttbr0 == 0) {
     return;
@@ -182,23 +181,11 @@ StepResult Step(MachineState& m) {
   if (!fetch.ok) {
     return Fault(m, Exception::kPrefetchAbort, insn_addr);
   }
-  // Decode through the per-physical-address cache; the slow path re-decodes
-  // every step (and is what the cache is differentially tested against).
-  std::optional<Instruction> decoded_slow;
-  const Instruction* insn_p;
-  if (m.interp.enabled()) {
-    insn_p = m.interp.LookupDecode(m.mem, fetch.phys);
-    if (insn_p == nullptr) {
-      return Fault(m, Exception::kUndefined, insn_addr);
-    }
-  } else {
-    decoded_slow = Decode(m.mem.Read(fetch.phys));
-    if (!decoded_slow.has_value()) {
-      return Fault(m, Exception::kUndefined, insn_addr);
-    }
-    insn_p = &*decoded_slow;
+  const std::optional<Instruction> decoded = Decode(m.mem.Read(fetch.phys));
+  if (!decoded.has_value()) {
+    return Fault(m, Exception::kUndefined, insn_addr);
   }
-  const Instruction& insn = *insn_p;
+  const Instruction& insn = *decoded;
 
   if (insn.cond != Cond::kAl && !CondPasses(insn.cond, m.cpsr)) {
     m.cycles.Charge(kCosts.alu);

@@ -1,192 +1,61 @@
-// Interpreter fast-path caches (DESIGN.md §8).
+// Interpreter fast path: the live-page-table footprint (DESIGN.md §8).
 //
-// Three side structures remove the per-step interpretive overhead of the ARM
-// model while staying architecturally invisible — same MachineState results,
-// same cycle charges, checked by the cached-vs-uncached differential suite:
+// Every secure-world store asks whether it lands in the live enclave page
+// table (§5.1 tlb_consistent). The reference answer, AddrInLivePageTable,
+// scans all 1024 L1 entries. The footprint holds the byte ranges of the
+// active L1 table and the L2 tables it references, recomputed only when the
+// TTBR0 or the L1 page's generation moves, so the store check becomes one
+// binary search. It is the interpreter's only cache: decoding and page walks
+// run uncached every step.
 //
-//  * Decode cache: a direct-mapped cache of Decode() results keyed by the
-//    instruction's physical address, validated against the backing page's
-//    generation counter (PhysMemory::PageGen). Self-modifying code and page
-//    reuse (InstallL2/Remove) bump the generation and force a re-decode.
-//  * Micro-TLB: a direct-mapped cache of WalkPageTable results per virtual
-//    page, tagged with the TTBR0 it was walked under and the generations of
-//    the L1/L2 descriptor pages the walk read. Any store into those pages —
-//    interpreted, monitor C++, or test-harness poke — invalidates the entry
-//    by construction; TLBIALL, TTBR writes and world switches flush it
-//    outright (the events §5.1's tlb_consistent discipline names).
-//  * Live-page-table footprint: the byte ranges occupied by the active L1
-//    table and the L2 tables it references, recomputed only when the L1 page's
-//    generation moves. Replaces the O(L1 entries) AddrInLivePageTable scan on
-//    every secure-world store with a binary search.
-//
-// All caches are bookkeeping: they are excluded from state equality, and
-// copying a MachineState yields fresh (empty) caches. The KOMODO_INTERP_CACHE
-// environment variable ("off"/"0"/"false") disables them, restoring the
-// pre-cache interpreter byte for byte.
+// The footprint is bookkeeping: it is excluded from state equality, and a
+// MachineState copy carries it along with the page generations it was
+// checked against. set_enabled(false) answers every check through
+// AddrInLivePageTable instead; the interp fuzz oracle runs the two side by
+// side.
 #ifndef SRC_ARM_INTERP_CACHE_H_
 #define SRC_ARM_INTERP_CACHE_H_
 
-#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "src/arm/isa.h"
 #include "src/arm/memory.h"
-#include "src/arm/page_table.h"
 #include "src/arm/types.h"
-#include "src/fuzz/inject.h"
 
 namespace komodo::arm {
 
-struct InterpCacheStats {
-  uint64_t decode_hits = 0;
-  uint64_t decode_misses = 0;
-  uint64_t tlb_hits = 0;
-  uint64_t tlb_misses = 0;
-  uint64_t pt_filter_fast = 0;     // NoteStore checks answered by the footprint
-  uint64_t pt_filter_rebuilds = 0; // footprint recomputations
-};
-
-class InterpCaches {
+class LivePtFootprint {
  public:
-  static constexpr size_t kDecodeEntries = 4096;  // power of two; 16 kB of code
-  static constexpr size_t kTlbEntries = 128;      // power of two; 512 kB of VA
-
-  InterpCaches();
-  // Copies carry the enabled flag but start cold: caches are bookkeeping, not
-  // state, and cloned machines (differential tests, spec extraction) must not
-  // pay for or depend on the donor's cache contents.
-  InterpCaches(const InterpCaches& o);
-  InterpCaches& operator=(const InterpCaches& o);
-
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) {
     enabled_ = on;
-    InvalidateAll();
+    valid_ = false;
   }
 
-  // Decoded instruction at physical address `phys` (which must be mapped and
-  // word-aligned). Returns nullptr if the word does not decode — the cache
-  // remembers undefined encodings too. The pointer is valid until the next
-  // LookupDecode call. Hit path inline: tag compare plus one indexed
-  // generation load.
-  const Instruction* LookupDecode(const PhysMemory& mem, paddr phys) {
-    DecodeEntry& e = decode_[(phys >> 2) & (kDecodeEntries - 1)];
-    // The generation check is what keeps the cache coherent with stores into
-    // code pages; the fuzz harness can disable it (stale-decode injection) to
-    // prove the cached-vs-uncached oracle catches the resulting divergence.
-    // The epoch check is explicit invalidation (set_enabled / InvalidateAll),
-    // not coherence, so the injection deliberately cannot bypass it.
-    if (e.addr == phys && e.epoch == decode_epoch_ &&
-        (mem.PageGenAt(e.gen_idx) == e.gen || fuzz::Inject().stale_decode)) {
-      ++stats_.decode_hits;
-      return e.decode_ok ? &e.insn : nullptr;
-    }
-    return FillDecode(mem, phys, e);
-  }
-
-  // WalkPageTable(mem, ttbr0, va) through the micro-TLB. Bit-identical to an
-  // uncached walk; only successful (user-readable) walks are cached.
-  WalkResult TlbWalk(const PhysMemory& mem, paddr ttbr0, vaddr va) {
-    const vaddr vpn = va >> 12;
-    TlbEntry& e = tlb_[vpn & (kTlbEntries - 1)];
-    if (e.vpn == vpn && e.ttbr0 == ttbr0 && e.epoch == tlb_epoch_ &&
-        mem.PageGenAt(e.l1_gen_idx) == e.l1_gen &&
-        mem.PageGenAt(e.l2_gen_idx) == e.l2_gen) {
-      ++stats_.tlb_hits;
-      WalkResult res;
-      res.ok = true;
-      res.phys = e.page_base | (va & (kPageSize - 1));
-      res.user_read = true;  // only readable mappings are cached
-      res.user_write = e.user_write;
-      res.executable = e.executable;
-      return res;
-    }
-    return FillTlb(mem, ttbr0, va, e);
-  }
-
-  // AddrInLivePageTable(mem, ttbr0, addr) through the footprint cache.
+  // AddrInLivePageTable(mem, ttbr0, addr) through the footprint.
   bool StoreHitsLivePageTable(const PhysMemory& mem, paddr ttbr0, paddr addr) {
-    if (!footprint_.valid || footprint_.ttbr0 != ttbr0 ||
-        mem.PageGenAt(footprint_.l1_first_idx) != footprint_.l1_first_gen ||
-        mem.PageGenAt(footprint_.l1_last_idx) != footprint_.l1_last_gen) {
-      RebuildFootprint(mem, ttbr0);
+    if (!valid_ || ttbr0_ != ttbr0 || mem.PageGenAt(l1_first_idx_) != l1_first_gen_ ||
+        mem.PageGenAt(l1_last_idx_) != l1_last_gen_) {
+      Rebuild(mem, ttbr0);
     }
-    ++stats_.pt_filter_fast;
-    return FootprintContains(addr);
+    return Contains(addr);
   }
-
-  // TLBIALL / TTBR write / world switch: drop every translation.
-  void InvalidateTlb();
-  void InvalidateAll();
-
-  // Physical word addresses with a live decode-cache entry (current epoch;
-  // generation staleness is irrelevant — the address was decoded during this
-  // epoch either way). Sorted and duplicate-free. This is a coverage signal
-  // for the fuzzer's evolve mode (DESIGN.md §15), not part of the cache's
-  // architectural contract.
-  std::vector<paddr> ResidentDecodeAddrs() const;
-
-  const InterpCacheStats& stats() const { return stats_; }
 
  private:
-  struct DecodeEntry {
-    paddr addr = kNoTag;    // exact physical word address; kNoTag = empty
-    uint64_t epoch = 0;     // valid only when equal to decode_epoch_
-    uint32_t gen = 0;       // backing page generation at decode time
-    size_t gen_idx = PhysMemory::kNoPage;  // its index in the gen array
-    bool decode_ok = false;
-    Instruction insn;
-  };
+  void Rebuild(const PhysMemory& mem, paddr ttbr0);
+  bool Contains(paddr addr) const;
 
-  struct TlbEntry {
-    vaddr vpn = kNoTag;  // va >> 12; kNoTag = empty
-    uint64_t epoch = 0;  // valid only when equal to tlb_epoch_
-    paddr ttbr0 = 0;
-    // Pages whose contents the walk read (as generation-array indices), with
-    // their generations at fill time; a mismatch on either means the
-    // descriptors may have changed.
-    size_t l1_gen_idx = PhysMemory::kNoPage;
-    size_t l2_gen_idx = PhysMemory::kNoPage;
-    uint32_t l1_gen = 0;
-    uint32_t l2_gen = 0;
-    paddr page_base = 0;
-    bool user_write = false;
-    bool executable = false;
-  };
-
-  struct PtFootprint {
-    bool valid = false;
-    paddr ttbr0 = 0;
-    // The footprint derives from the L1 table's contents alone; the
-    // generations of the first/last page the 4 kB table touches gate reuse.
-    size_t l1_first_idx = PhysMemory::kNoPage;
-    size_t l1_last_idx = PhysMemory::kNoPage;
-    uint32_t l1_first_gen = 0;
-    uint32_t l1_last_gen = 0;
-    std::vector<std::pair<paddr, paddr>> ranges;  // sorted, merged [start,end)
-  };
-
-  static constexpr uint32_t kNoTag = 0xffff'ffff;  // unaligned: never matches
-
-  const Instruction* FillDecode(const PhysMemory& mem, paddr phys, DecodeEntry& e);
-  WalkResult FillTlb(const PhysMemory& mem, paddr ttbr0, vaddr va, TlbEntry& e);
-  void RebuildFootprint(const PhysMemory& mem, paddr ttbr0);
-  bool FootprintContains(paddr addr) const;
-
-  bool enabled_;
-  // Invalidation is O(1): entries carry the epoch they were filled under and
-  // a bumped epoch orphans them all at once. The model checker and the fuzz
-  // pool reset the machine (which invalidates) once or twice per probed
-  // transition, so wiping the 4096-entry decode array each time dominated
-  // their runtime before this.
-  uint64_t decode_epoch_ = 1;
-  uint64_t tlb_epoch_ = 1;
-  std::vector<DecodeEntry> decode_;
-  std::vector<TlbEntry> tlb_;
-  PtFootprint footprint_;
-  InterpCacheStats stats_;
+  bool enabled_ = true;
+  bool valid_ = false;
+  paddr ttbr0_ = 0;
+  // The footprint derives from the L1 table's contents alone; the
+  // generations of the first/last page the 4 kB table touches gate reuse.
+  size_t l1_first_idx_ = PhysMemory::kNoPage;
+  size_t l1_last_idx_ = PhysMemory::kNoPage;
+  uint32_t l1_first_gen_ = 0;
+  uint32_t l1_last_gen_ = 0;
+  std::vector<std::pair<paddr, paddr>> ranges_;  // sorted, merged [start,end)
 };
 
 }  // namespace komodo::arm

@@ -73,14 +73,6 @@ void MachineState::ExceptionReturn(word target) {
   cycles.Charge(kCortexA7Costs.exception_return);
 }
 
-// Note on the interpreter's micro-TLB: TTBR writes, TLBIALL and world
-// switches deliberately do NOT touch it. Its entries are tagged with the
-// TTBR0 they were walked under and the generations of the descriptor pages
-// the walk read, so a stale entry can never validate — the cache is a pure
-// memo of WalkPageTable, coherent by construction (tests/arm/tlb_cache_test.cc
-// pins this). Keeping entries warm across the SMC world-switch round trip is
-// a measurable win on enter/resume-heavy workloads (EXPERIMENTS.md). The
-// *architectural* tlb_consistent discipline below is unchanged.
 void MachineState::WriteTtbr0(word value) {
   ttbr0 = value;
   tlb_consistent = false;
@@ -112,9 +104,8 @@ size_t MachineState::ResetTo(const MachineState& snapshot) {
   steps_retired = snapshot.steps_retired;
   tlb_flushes = snapshot.tlb_flushes;
   const size_t restored = mem.ResetTo(snapshot.mem);
-  // set_enabled invalidates every decode/TLB/footprint entry as a side
-  // effect; stale translations must not survive into the next lease even
-  // though page generations only ever move forward.
+  // The interp oracle switches the footprint per lease; the next lease
+  // starts from the snapshot's setting (and a cold footprint).
   interp.set_enabled(snapshot.interp.enabled());
   return restored;
 }

@@ -72,13 +72,13 @@ struct MachineState {
   PhysMemory mem;
   CycleCounter cycles;
 
-  // Interpreter fast-path caches (DESIGN.md §8). Architecturally invisible
-  // bookkeeping: mutable because even const translations may fill them, and
-  // excluded from any state comparison. KOMODO_INTERP_CACHE=off disables.
-  mutable InterpCaches interp;
+  // Interpreter fast path: the live-page-table footprint (DESIGN.md §8).
+  // Architecturally invisible bookkeeping, excluded from any state
+  // comparison.
+  LivePtFootprint interp;
 
   // Instructions the interpreter has stepped (bookkeeping for benchmarks;
-  // identical across cached/uncached runs of the same program).
+  // identical with the footprint on or off).
   uint64_t steps_retired = 0;
 
   // FlushTlb invocations (bookkeeping for the tracer's per-call attribution;
@@ -154,11 +154,9 @@ struct MachineState {
   // consistency/pending bits) and the bookkeeping counters (cycles,
   // steps_retired, tlb_flushes) are copied back; memory is restored page-wise
   // through PhysMemory::ResetTo, touching only the pages written since the
-  // snapshot. The interpreter caches are invalidated outright (their entries
-  // may embed translations and footprints derived from pre-reset TTBRs) and
-  // the cache-enabled flag reverts to the snapshot's. The result is
-  // state-equal to a fresh copy of the snapshot. Returns the number of memory
-  // pages restored.
+  // snapshot. The page-table footprint starts cold and its enabled flag
+  // reverts to the snapshot's. The result is state-equal to a fresh copy of
+  // the snapshot. Returns the number of memory pages restored.
   size_t ResetTo(const MachineState& snapshot);
 };
 

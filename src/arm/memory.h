@@ -8,10 +8,10 @@
 //
 // Hot-path design: the three regions are flat vectors and the word accessors
 // are inline single-branch span lookups (DESIGN.md §8). Every page carries a
-// generation counter bumped on any store into it; the interpreter's decode
-// cache and micro-TLB validate their entries against these generations, which
-// makes them coherent against *any* writer (interpreted stores, monitor C++
-// code, or test-harness pokes) without explicit invalidation hooks.
+// generation counter bumped on any store into it; the interpreter's
+// page-table footprint validates against these generations, which makes it
+// coherent against *any* writer (interpreted stores, monitor C++ code, or
+// test-harness pokes) without explicit invalidation hooks.
 //
 // Snapshot-reset (DESIGN.md §11): with dirty tracking enabled, every store
 // also records the containing page in a dirty list (once per page), so
@@ -86,11 +86,12 @@ class PhysMemory {
     NoteStore(page_index);
   }
 
-  // Generation bookkeeping for the interpreter caches: every store bumps the
-  // containing page's counter. Unmapped addresses report the constant
-  // generation 0 (they can never be written). `PageIndexOf` resolves an
-  // address to its stable global page index once, so cache entries revalidate
-  // with a single indexed load (`PageGenAt`) instead of a region decode.
+  // Generation bookkeeping for the interpreter's page-table footprint: every
+  // store bumps the containing page's counter. Unmapped addresses report the
+  // constant generation 0 (they can never be written). `PageIndexOf` resolves
+  // an address to its stable global page index once, so the footprint
+  // revalidates with a single indexed load (`PageGenAt`) instead of a region
+  // decode.
   static constexpr size_t kNoPage = static_cast<size_t>(-1);
   size_t PageIndexOf(paddr addr) const {
     size_t page_index = kNoPage;
@@ -133,11 +134,10 @@ class PhysMemory {
   // Restores this memory to `snapshot` (a copy taken when the dirty set was
   // last empty, i.e. at EnableDirtyTracking or right after a ResetTo) by
   // copying back only the dirty pages, then clears the dirty set. Each
-  // restored page's generation is bumped — never rolled back — so decode
-  // cache and micro-TLB entries can never mistake pre-reset contents for
-  // post-reset contents (the caller must still invalidate caches whose
-  // entries embed generation *indices* that stay valid; MachineState::ResetTo
-  // does). Geometries must match. Returns the number of pages restored.
+  // restored page's generation is bumped — never rolled back — so the
+  // page-table footprint can never mistake pre-reset contents for post-reset
+  // contents (MachineState::ResetTo still invalidates it outright).
+  // Geometries must match. Returns the number of pages restored.
   //
   // The baseline token survives only if `snapshot` shares it and has an
   // empty dirty list (so it *is* the baseline); otherwise it is dropped and

@@ -59,7 +59,7 @@ L2Perms L2DescPerms(word desc) {
 
 paddr L2DescPageBase(word desc) { return desc & kL2PageBaseMask; }
 
-WalkResult WalkPageTable(const PhysMemory& mem, paddr l1_base, vaddr va, WalkTrace* trace) {
+WalkResult WalkPageTable(const PhysMemory& mem, paddr l1_base, vaddr va) {
   WalkResult res;
   if (va >= kEnclaveVaLimit) {
     return res;
@@ -82,10 +82,6 @@ WalkResult WalkPageTable(const PhysMemory& mem, paddr l1_base, vaddr va, WalkTra
   const word l2_desc = mem.Read(l2_addr);
   if (!IsL2SmallPageDesc(l2_desc)) {
     return res;
-  }
-  if (trace != nullptr) {
-    trace->l1_entry_addr = l1_addr;
-    trace->l2_entry_addr = l2_addr;
   }
   const L2Perms perms = L2DescPerms(l2_desc);
   res.ok = perms.user_read;

@@ -59,20 +59,10 @@ struct WalkResult {
   bool executable = false;
 };
 
-// The descriptor addresses a (successful) walk read — the micro-TLB tags its
-// entries with the pages these live in so that any store into them
-// invalidates the cached translation.
-struct WalkTrace {
-  paddr l1_entry_addr = 0;
-  paddr l2_entry_addr = 0;
-};
-
 // Walks the two-level table rooted at `l1_base` for virtual address `va`.
 // Fails (ok=false) for va >= 1 GB, descriptors outside the modelled idiom, or
-// table addresses that leave mapped physical memory. `trace`, when non-null,
-// receives the descriptor addresses of a successful walk.
-WalkResult WalkPageTable(const PhysMemory& mem, paddr l1_base, vaddr va,
-                         WalkTrace* trace = nullptr);
+// table addresses that leave mapped physical memory.
+WalkResult WalkPageTable(const PhysMemory& mem, paddr l1_base, vaddr va);
 
 // All user-writable page base addresses reachable from `l1_base`, in
 // ascending VA order. This is the footprint the paper's model havocs after

@@ -10,14 +10,9 @@
 namespace komodo {
 
 obs::MachineSnap Monitor::ObsSnap() const {
-  const arm::InterpCacheStats& cs = machine_.interp.stats();
   obs::MachineSnap s;
   s.cycles = machine_.cycles.total();
   s.steps = machine_.steps_retired;
-  s.decode_hits = cs.decode_hits;
-  s.decode_misses = cs.decode_misses;
-  s.tlb_hits = cs.tlb_hits;
-  s.tlb_misses = cs.tlb_misses;
   s.tlb_flushes = machine_.tlb_flushes;
   return s;
 }

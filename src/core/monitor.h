@@ -123,7 +123,7 @@ class Monitor {
   // call_list.inc); Dispatch/DispatchSvc wrap these with tracing.
   CallResult DispatchImpl(const CallCtx& ctx);
   SvcResult DispatchSvcImpl(const SvcCtx& ctx);
-  // Snapshot of the machine's cycle/step/cache counters for the tracer.
+  // Snapshot of the machine's cycle/step/TLB-flush counters for the tracer.
   // Reads state directly (never through ops_), so it charges nothing.
   obs::MachineSnap ObsSnap() const;
 

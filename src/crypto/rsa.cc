@@ -82,7 +82,10 @@ std::vector<uint8_t> Pkcs1V15EncodeSha256(const Digest& digest, size_t em_len) {
 }
 
 std::vector<uint8_t> RsaSignSha256(const RsaKeyPair& key, const uint8_t* msg, size_t len) {
-  const Digest digest = Sha256Hash(msg, len);
+  return RsaSignSha256Digest(key, Sha256Hash(msg, len));
+}
+
+std::vector<uint8_t> RsaSignSha256Digest(const RsaKeyPair& key, const Digest& digest) {
   const size_t k = key.pub.ModulusBytes();
   const std::vector<uint8_t> em = Pkcs1V15EncodeSha256(digest, k);
   const BigNum m = BigNum::FromBytesBe(em);

@@ -41,6 +41,9 @@ RsaKeyPair RsaGenerateKey(HashDrbg* drbg, size_t bits);
 
 // PKCS#1 v1.5 signature of SHA-256(message). Returns ModulusBytes() bytes.
 std::vector<uint8_t> RsaSignSha256(const RsaKeyPair& key, const uint8_t* msg, size_t len);
+// The same signature from an already computed SHA-256 digest, for callers
+// that stream the message through their own Sha256.
+std::vector<uint8_t> RsaSignSha256Digest(const RsaKeyPair& key, const Digest& digest);
 bool RsaVerifySha256(const RsaPublicKey& key, const uint8_t* msg, size_t len,
                      const std::vector<uint8_t>& signature);
 

@@ -20,14 +20,13 @@ uint64_t NotaryCore::Init() {
 std::vector<uint8_t> NotaryCore::Notarize(const uint8_t* doc, size_t len, uint64_t* cycles_out) {
   // message = document || counter (little-endian), as the Ironclad notary
   // hashes the document with the current counter value before signing.
-  std::vector<uint8_t> message(doc, doc + len);
-  message.push_back(static_cast<uint8_t>(counter_));
-  message.push_back(static_cast<uint8_t>(counter_ >> 8));
-  message.push_back(static_cast<uint8_t>(counter_ >> 16));
-  message.push_back(static_cast<uint8_t>(counter_ >> 24));
-  std::vector<uint8_t> sig = crypto::RsaSignSha256(key_, message.data(), message.size());
+  // Streamed through one Sha256, so the document is never copied.
+  crypto::Sha256 sha;
+  sha.Update(doc, len);
+  sha.UpdateWordLe(counter_);
+  std::vector<uint8_t> sig = crypto::RsaSignSha256Digest(key_, sha.Finalize());
   ++counter_;
-  *cycles_out = costs_.sha_cycles_per_byte * message.size() + costs_.rsa_sign_cycles;
+  *cycles_out = costs_.sha_cycles_per_byte * (len + 4) + costs_.rsa_sign_cycles;
   return sig;
 }
 

@@ -138,10 +138,4 @@ void HarvestObsCoverage(const os::World& w, CoverageMap* out) {
   }
 }
 
-void HarvestMachineCoverage(const os::World& w, CoverageMap* out) {
-  for (const arm::paddr a : w.machine.interp.ResidentDecodeAddrs()) {
-    out->Add(MixCoverageKey(CoverageDomain::kDecodeAddr, a));
-  }
-}
-
 }  // namespace komodo::fuzz

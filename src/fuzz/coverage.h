@@ -17,10 +17,6 @@
 //   * Observability keys: the (event kind, call/code, error) triples the
 //     monitor's tracer saw — which calls ran, which errors they produced,
 //     which lifecycle instants fired (src/obs/ coverage export hook).
-//   * Machine keys: resident interp decode-cache addresses — which code the
-//     enclave worlds actually executed. Harvested only from worlds whose
-//     cache enablement the oracle sets explicitly (the interp oracle), so
-//     keys never depend on the KOMODO_INTERP_CACHE environment default.
 //
 // Every key derivation is a pure function of architectural state, so coverage
 // — and everything evolve mode builds on it (corpus, campaign hash) — is
@@ -66,12 +62,11 @@ class CoverageMap {
 };
 
 // Key domains. Every key is SplitMix-style mixed so unrelated facts cannot
-// collide by arithmetic accident; the domain tag keeps e.g. a decode address
+// collide by arithmetic accident; the domain tag keeps e.g. a PageDb feature
 // from aliasing an obs triple.
 enum class CoverageDomain : uint64_t {
   kPageDbShape = 1,
   kObsEvent = 2,
-  kDecodeAddr = 3,
 };
 
 uint64_t MixCoverageKey(CoverageDomain domain, uint64_t value);
@@ -83,10 +78,6 @@ void HarvestPageDbCoverage(const spec::PageDb& db, CoverageMap* out);
 // Harvests the world's observability coverage keys (armed by CoverageScope in
 // oracles.cc) into `out`.
 void HarvestObsCoverage(const os::World& w, CoverageMap* out);
-
-// Harvests resident decode-cache addresses from a world whose cache
-// enablement was set explicitly by the oracle.
-void HarvestMachineCoverage(const os::World& w, CoverageMap* out);
 
 }  // namespace komodo::fuzz
 

@@ -44,7 +44,7 @@ word RandomCodeWord(crypto::HashDrbg& drbg);
 //                     interrupted (the §5.2 scratch-register leak shape)
 //   fault-secret      loads the secret into r2 and faults on an unmapped store
 //   self-modify       rewrites its own loop body each iteration and exits with
-//                     the iteration sum (stale-decode-cache witness; its code
+//                     the iteration sum (self-modifying-code witness; its code
 //                     page must be mapped writable, see VictimWantsWritableCode)
 inline constexpr const char* kVictimNames[] = {"internal-compute", "spin-scratch",
                                                "fault-secret", "self-modify"};

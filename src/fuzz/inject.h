@@ -31,11 +31,6 @@ struct InjectFlags {
   // oracle with a victim that keeps its secret in scratch registers.
   bool skip_scratch_clear = false;
 
-  // The interpreter decode cache skips its page-generation validation, so
-  // self-modifying or reused code pages replay stale instructions. Caught by
-  // the cached-vs-uncached equivalence oracle.
-  bool stale_decode = false;
-
   // Stores into a dirty-tracked PhysMemory skip recording their page in the
   // dirty list, so baseline-token equality (DESIGN.md §11) no longer sees
   // them. Caught by the fast-vs-full memory equality differential test.
@@ -65,8 +60,6 @@ inline bool SetInjectByName(const std::string& name) {
     f.remove_skip_refcount = true;
   } else if (name == "skip-scratch-clear") {
     f.skip_scratch_clear = true;
-  } else if (name == "stale-decode") {
-    f.stale_decode = true;
   } else if (name == "dirty-bypass") {
     f.dirty_bypass = true;
   } else {
@@ -80,7 +73,6 @@ inline const char* const kInjectNames[] = {
     "initaddrspace-alias",
     "remove-skip-refcount",
     "skip-scratch-clear",
-    "stale-decode",
     "dirty-bypass",
 };
 

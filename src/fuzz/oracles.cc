@@ -24,19 +24,14 @@ Verdict Fail(int op, std::string detail) { return Verdict{true, op, std::move(de
 
 // Arms the primary world's observability coverage hook for the duration of
 // one oracle run and harvests the keys on every exit path, including early
-// failure returns. Worlds listed in `machine_worlds` additionally contribute
-// their resident decode-cache keys — callers only list worlds whose cache
-// enablement they set explicitly, so the harvested set never depends on the
-// KOMODO_INTERP_CACHE environment default. The tracer is cycle bit-identical
-// on/off, so arming it cannot change a verdict.
+// failure returns. The tracer is cycle bit-identical on/off, so arming it
+// cannot change a verdict.
 //
 // Must be declared *after* the world leases it references: it harvests in its
 // destructor, while the worlds are still leased.
 class CoverageScope {
  public:
-  CoverageScope(os::World& primary, CoverageMap* cover,
-                std::vector<const os::World*> machine_worlds = {})
-      : primary_(primary), cover_(cover), machine_worlds_(std::move(machine_worlds)) {
+  CoverageScope(os::World& primary, CoverageMap* cover) : primary_(primary), cover_(cover) {
     if (cover_ == nullptr) {
       return;
     }
@@ -55,9 +50,6 @@ class CoverageScope {
       return;
     }
     HarvestObsCoverage(primary_, cover_);
-    for (const os::World* w : machine_worlds_) {
-      HarvestMachineCoverage(*w, cover_);
-    }
     obs::Observability& obs = primary_.monitor.obs();
     obs.DisarmCoverage();
     if (!was_enabled_) {
@@ -69,7 +61,6 @@ class CoverageScope {
   static constexpr size_t kCoverageRing = 64;
   os::World& primary_;
   CoverageMap* cover_;
-  std::vector<const os::World*> machine_worlds_;
   bool was_enabled_ = false;
 };
 
@@ -419,21 +410,20 @@ Verdict RunNoninterference(const Trace& t, WorldPool& pool, CoverageMap* cover) 
   return {};
 }
 
-// --- interp (cached vs uncached) ----------------------------------------------
+// --- interp (footprint vs scan) ----------------------------------------------
 //
-// Two-way bisimulation: the same trace on a world with the interpreter caches
-// on and one with them off (DESIGN.md §8). Any divergence in a result or in
-// architectural state is a cache-coherence bug. The failure details are
-// canonical; the committed regression corpus records them.
+// Two-way bisimulation: the same trace on a world with the interpreter's
+// page-table footprint on and one answering every store check with the
+// O(L1) AddrInLivePageTable scan (DESIGN.md §8). Any divergence in a result
+// or in architectural state is a footprint-coherence bug. The failure
+// details are canonical; the committed regression corpus records them.
 
 Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
   WorldPool::Lease lease_c = pool.Acquire(t.pages);
   WorldPool::Lease lease_u = pool.Acquire(t.pages);
   os::World& wc = lease_c.world();
   os::World& wu = lease_u.world();
-  // wc sets its cache enablement explicitly below, so its resident decode
-  // entries are legitimate (environment-independent) coverage.
-  CoverageScope coverage(wc, cover, {&wc});
+  CoverageScope coverage(wc, cover);
   wc.machine.interp.set_enabled(true);
   wu.machine.interp.set_enabled(false);
   os::EnclaveHandle vc, vu;
@@ -475,14 +465,14 @@ Verdict RunInterp(const Trace& t, WorldPool& pool, CoverageMap* cover) {
     }
     if (rc.err != ru.err || rc.val != ru.val) {
       std::ostringstream out;
-      out << OpLabel(t, i) << ": result differs: cached (" << KomErrName(rc.err) << ", "
-          << rc.val << ") vs uncached (" << KomErrName(ru.err) << ", " << ru.val << ")";
+      out << OpLabel(t, i) << ": result differs: footprint (" << KomErrName(rc.err) << ", "
+          << rc.val << ") vs scan (" << KomErrName(ru.err) << ", " << ru.val << ")";
       return Fail(static_cast<int>(i), out.str());
     }
     const auto diff = MachineDiff(wc.machine, wu.machine);
     if (!diff.empty()) {
       return Fail(static_cast<int>(i),
-                  OpLabel(t, i) + ": cached/uncached state diverges: " + diff.front());
+                  OpLabel(t, i) + ": footprint/scan state diverges: " + diff.front());
     }
   }
   return {};

@@ -10,8 +10,9 @@
 //   noninterference   two worlds differing only in a victim's secret replay
 //                     the identical trace; every SMC result and the full
 //                     ≈adv relation must stay equal.
-//   interp            cache-enabled vs cache-disabled worlds replay the same
-//                     trace; SMC results and complete machine state must be
+//   interp            a world with the page-table footprint on and one with
+//                     it off (AddrInLivePageTable scan) replay the same trace;
+//                     SMC results and complete machine state must be
 //                     bit-identical.
 //
 // A Verdict pinpoints the first failing operation, which is what the shrinker
@@ -47,11 +48,9 @@ struct Verdict {
 // per-thread pool; one-shot replays can leave it null.
 //
 // `cover`, when given, accumulates the coverage keys the run touched
-// (DESIGN.md §15): per-op PageDb shape keys, the primary world's
-// observability event set, and — for the interp oracle, whose worlds set
-// their cache enablement explicitly — resident decode-cache keys. Collection
-// is architecturally invisible (the tracer is cycle bit-identical on/off), so
-// the verdict never depends on it.
+// (DESIGN.md §15): per-op PageDb shape keys and the primary world's
+// observability event set. Collection is architecturally invisible (the
+// tracer is cycle bit-identical on/off), so the verdict never depends on it.
 Verdict RunTrace(const Trace& t, bool apply_inject = true, WorldPool* pool = nullptr,
                  CoverageMap* cover = nullptr);
 

@@ -12,7 +12,7 @@
 //     copy per world geometry, since boot is deterministic);
 //   * Acquire hands out a pooled world after MachineState::ResetTo(snapshot)
 //     — which rewrites only the pages the previous trace dirtied and
-//     invalidates the interpreter caches — plus Monitor::ResetForReuse and
+//     resets the page-table footprint — plus Monitor::ResetForReuse and
 //     Os::ResetForReuse for the C++-side bookkeeping.
 //
 // The result is state-equal to a fresh construction (pinned by

@@ -153,10 +153,6 @@ void Observability::Accumulate(std::map<uint32_t, CallStats>& stats, uint32_t ca
   s.cycle_hist.Add(cycles);
   s.steps += end.steps - pending.begin.steps;
   s.wall_ns += WallNs() - pending.wall_begin_ns;
-  s.decode_hits += end.decode_hits - pending.begin.decode_hits;
-  s.decode_misses += end.decode_misses - pending.begin.decode_misses;
-  s.tlb_hits += end.tlb_hits - pending.begin.tlb_hits;
-  s.tlb_misses += end.tlb_misses - pending.begin.tlb_misses;
   s.tlb_flushes += end.tlb_flushes - pending.begin.tlb_flushes;
 }
 
@@ -299,13 +295,6 @@ void WriteCallStatsJson(JsonWriter& w, const std::map<uint32_t, CallStats>& stat
     WriteHistogramJson(w, s.cycle_hist);
     w.KV("steps", s.steps);
     w.KV("wall_ns", s.wall_ns);
-    w.Key("interp_cache");
-    w.BeginObject();
-    w.KV("decode_hits", s.decode_hits);
-    w.KV("decode_misses", s.decode_misses);
-    w.KV("tlb_hits", s.tlb_hits);
-    w.KV("tlb_misses", s.tlb_misses);
-    w.EndObject();
     w.KV("tlb_flushes", s.tlb_flushes);
     w.EndObject();
   }

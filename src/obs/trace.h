@@ -13,8 +13,8 @@
 //
 // The library is standalone by design (no dependency on src/arm or
 // src/core): callers pass a MachineSnap of the counters they want attributed
-// — the monitor snapshots its cycle counter, retired steps, interpreter
-// cache stats and TLB-flush count around each dispatched call. Instrument
+// — the monitor snapshots its cycle counter, retired steps and TLB-flush
+// count around each dispatched call. Instrument
 // once, at the call-table dispatch; everything else follows.
 //
 // Activation: construct-time from the environment (KOMODO_TRACE=on|1|true,
@@ -62,10 +62,6 @@ const char* EventKindName(EventKind kind);
 struct MachineSnap {
   uint64_t cycles = 0;         // simulated cycle counter
   uint64_t steps = 0;          // retired interpreted instructions
-  uint64_t decode_hits = 0;    // interpreter decode-cache stats
-  uint64_t decode_misses = 0;
-  uint64_t tlb_hits = 0;       // interpreter micro-TLB stats
-  uint64_t tlb_misses = 0;
   uint64_t tlb_flushes = 0;    // architectural TLBIALL count
 };
 
@@ -116,7 +112,10 @@ struct CallStats {
   uint64_t steps = 0;
   uint64_t wall_ns = 0;
   Histogram cycle_hist;       // per-call simulated cycles
-  uint64_t decode_hits = 0;   // interp-cache activity attributed to the call
+  // Interpreter decode-cache and micro-TLB counters. Those caches are gone
+  // and nothing fills these; they stay (reading 0) because perfbench's
+  // arm.*_hit_ratio metrics still read them.
+  uint64_t decode_hits = 0;
   uint64_t decode_misses = 0;
   uint64_t tlb_hits = 0;
   uint64_t tlb_misses = 0;
@@ -206,7 +205,7 @@ class Observability {
   // simulated cycles presented as microseconds.
   std::string ExportChromeTrace() const;
   // Flat metrics (schema "komodo-metrics-v1"): global counters plus per-SMC
-  // and per-SVC cycle histograms and interp-cache attribution.
+  // and per-SVC cycle histograms with step and TLB-flush attribution.
   std::string ExportMetrics() const;
   bool WriteChromeTrace(const std::string& path) const;
   bool WriteMetrics(const std::string& path) const;

@@ -1,17 +1,19 @@
-// Cached-vs-uncached differential suite (DESIGN.md §8): the interpreter fast
-// path (decode cache, micro-TLB, live-page-table footprint) must be
-// architecturally invisible. Every test here runs the same program through a
-// cache-enabled and a cache-disabled machine and requires bit-identical final
-// state — registers, banked state, memory, TLB-consistency bit, cycle count
-// and per-step exception trace. The adversarial cases are the ones a broken
-// cache would get wrong: self-modifying code (stale decode), live page-table
-// edits (stale walk) and TTBR rewrites across enclave switches (stale tags).
+// Footprint-vs-scan differential suite (DESIGN.md §8): the interpreter's
+// live-page-table footprint must be architecturally invisible. Every test
+// here runs the same program on a machine answering the §5.1 store check
+// through the footprint and on one answering it with the O(L1)
+// AddrInLivePageTable scan, and requires bit-identical final state —
+// registers, banked state, memory, TLB-consistency bit, cycle count and
+// per-step exception trace. The adversarial cases are the ones a stale
+// footprint would get wrong: stores into the live tables, live page-table
+// edits from monitor C++ and TTBR rewrites across enclave switches.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "src/arm/assembler.h"
 #include "src/arm/execute.h"
+#include "src/arm/page_table.h"
 #include "src/crypto/drbg.h"
 #include "src/enclave/programs.h"
 #include "src/enclave/sha256_program.h"
@@ -22,8 +24,19 @@
 namespace komodo::arm {
 namespace {
 
-constexpr vaddr kCodeBase = 0x2000;
-constexpr vaddr kScratchBase = 0x4000;
+// Secure privileged machine layout: page 0 holds the L1 table, page 1 four
+// L2 tables of which only the second is live, page 2 the code. Code and data
+// are reached through the TTBR1 direct map, so every store consults the
+// footprint (TTBR0 is set) while no user-mode walk is needed.
+constexpr paddr kL1 = kSecurePagesBase;
+constexpr paddr kL2Page = kSecurePagesBase + kPageSize;
+constexpr paddr kLiveL2 = kL2Page + kL2TableBytes;
+constexpr paddr kCodePage = kSecurePagesBase + 2 * kPageSize;
+constexpr vaddr kCodeVa = kDirectMapVbase + kCodePage;
+// The random programs' stores land at [R10, R10+252]: half in the dead L2
+// table below the live one, half in the live one.
+constexpr vaddr kScratchVa = kDirectMapVbase + kLiveL2 - 128;
+constexpr vaddr kDeadVa = kDirectMapVbase + kL2Page;
 
 // The field-by-field comparison lives in the fuzz library (the interp oracle
 // uses the same one); here each differing field becomes its own failure.
@@ -33,39 +46,39 @@ void ExpectSameState(const MachineState& a, const MachineState& b) {
   }
 }
 
-// A bare machine in the normal world (flat translation), like the ISA sweeps
-// use: exercises the decode cache without page tables in the way.
-MachineState MakeFlatMachine(const std::vector<word>& code, bool cached) {
+MachineState MakeSecureMachine(const std::vector<word>& code, bool footprint) {
   MachineState m(8);
-  m.interp.set_enabled(cached);
-  m.cpsr.mode = Mode::kMonitor;
-  m.SetScrNs(true);
-  m.cpsr.mode = Mode::kSupervisor;
+  m.interp.set_enabled(footprint);
+  m.mem.Write(kL1 + 5 * kWordSize, MakeL1PageTableDesc(kLiveL2));
   for (size_t i = 0; i < code.size(); ++i) {
-    m.mem.Write(kCodeBase + static_cast<word>(i) * kWordSize, code[i]);
+    m.mem.Write(kCodePage + static_cast<word>(i) * kWordSize, code[i]);
   }
-  m.pc = kCodeBase;
+  m.cpsr.mode = Mode::kMonitor;
+  m.WriteTtbr0(kL1);
+  m.FlushTlb();
+  m.cpsr.mode = Mode::kSupervisor;  // secure world (SCR.NS stays 0)
+  m.pc = kCodeVa;
   return m;
 }
 
-// Steps the cached and uncached machines in lockstep for `max_steps`,
-// requiring the same per-step outcome (retired vs exception kind) and
-// bit-identical final states (cycles and steps_retired included).
-void RunLockstep(MachineState& cached, MachineState& uncached, int max_steps) {
+// Steps both machines in lockstep for `max_steps`, requiring the same
+// per-step outcome (retired vs exception kind) and bit-identical final
+// states (cycles and steps_retired included).
+void RunLockstep(MachineState& fast, MachineState& scan, int max_steps) {
   for (int i = 0; i < max_steps; ++i) {
-    const StepResult rc = Step(cached);
-    const StepResult ru = Step(uncached);
-    ASSERT_EQ(rc.status, ru.status) << "step " << i;
-    if (rc.status == StepStatus::kException) {
-      ASSERT_EQ(rc.exception, ru.exception) << "step " << i;
+    const StepResult rf = Step(fast);
+    const StepResult rs = Step(scan);
+    ASSERT_EQ(rf.status, rs.status) << "step " << i;
+    if (rf.status == StepStatus::kException) {
+      ASSERT_EQ(rf.exception, rs.exception) << "step " << i;
     }
   }
-  ExpectSameState(cached, uncached);
+  ExpectSameState(fast, scan);
 }
 
-// --- Randomized flat programs ----------------------------------------------------
+// --- Randomized programs ---------------------------------------------------------
 
-TEST(InterpDiffTest, RandomFlatProgramsMatchExactly) {
+TEST(InterpDiffTest, RandomProgramsMatchExactly) {
   // The generator lives in the fuzz library (fuzz::RandomFlatInsn) so the
   // komodo-fuzz interp oracle and this suite exercise the same space.
   for (uint64_t seed = 0; seed < 24; ++seed) {
@@ -77,100 +90,63 @@ TEST(InterpDiffTest, RandomFlatProgramsMatchExactly) {
     }
     code.push_back(0xef000000);  // SVC #0 terminator
 
-    MachineState cached = MakeFlatMachine(code, /*cached=*/true);
-    MachineState uncached = MakeFlatMachine(code, /*cached=*/false);
-    for (MachineState* m : {&cached, &uncached}) {
+    MachineState fast = MakeSecureMachine(code, /*footprint=*/true);
+    MachineState scan = MakeSecureMachine(code, /*footprint=*/false);
+    for (MachineState* m : {&fast, &scan}) {
       for (int i = 0; i < 13; ++i) {
         crypto::HashDrbg rdrbg(seed * 131 + i);
         m->r[i] = rdrbg.NextWord();
       }
-      m->r[10] = kScratchBase;
-      m->r[11] = kCodeBase;
+      m->r[10] = kScratchVa;
+      m->r[11] = kCodeVa;
     }
-    RunLockstep(cached, uncached, static_cast<int>(len) + 8);
+    RunLockstep(fast, scan, static_cast<int>(len) + 8);
     if (::testing::Test::HasFailure()) {
       FAIL() << "divergence with seed " << seed;
     }
   }
 }
 
-TEST(InterpDiffTest, TightLoopMatchesAndHitsDecodeCache) {
-  Assembler a(kCodeBase);
+// 500 stores beside the live table, each one a footprint lookup answered
+// "no", then one into it, which must flip TLB consistency on both machines.
+TEST(InterpDiffTest, TightStoreLoopMatches) {
+  Assembler a(kCodeVa);
   a.MovImm(R0, 0);
   a.MovImm(R1, 500);
+  a.MovImm(R2, kDeadVa);
   Assembler::Label loop = a.NewLabel();
   a.Bind(loop);
   a.Add(R0, R0, 3);
+  a.Str(R0, R2, 0);
   a.Subs(R1, R1, 1);
   a.B(loop, Cond::kNe);
+  a.MovImm(R2, kDirectMapVbase + kLiveL2);
+  a.Str(R0, R2, 0);
   a.Svc();
   const std::vector<word> code = a.Finish();
 
-  MachineState cached = MakeFlatMachine(code, true);
-  MachineState uncached = MakeFlatMachine(code, false);
-  RunLockstep(cached, uncached, 1510);
-  EXPECT_EQ(cached.r[0], 1500u);
-  // The loop re-executes the same three instructions ~500 times; nearly every
-  // fetch after the first lap must hit.
-  EXPECT_GT(cached.interp.stats().decode_hits, 1400u);
-}
-
-// --- Self-modifying code ----------------------------------------------------------
-
-// A loop whose body instruction is overwritten (through flat memory) on every
-// iteration: ADD R0,R0,#1 the first pass, ADD R0,R0,#2 afterwards. A decode
-// cache that missed the store would keep replaying the stale instruction;
-// the generation check forces a re-decode and both machines agree.
-TEST(InterpDiffTest, SelfModifyingCodeForcesRedecode) {
-  Instruction add2;
-  add2.op = Op::kAdd;
-  add2.rd = R0;
-  add2.rn = R0;
-  add2.op2 = Operand2::Imm(2);
-
-  // Two-pass assembly: the target's address depends only on the (fixed)
-  // prologue, so assemble once with a placeholder to learn it, then for real.
-  vaddr target_addr = 0;
-  std::vector<word> code;
-  for (int pass = 0; pass < 2; ++pass) {
-    Assembler a(kCodeBase);
-    a.MovImm(R0, 0);
-    a.MovImm(R2, 0);             // iteration counter
-    a.MovImm(R4, Encode(add2));  // replacement encoding
-    Assembler::Label loop = a.NewLabel();
-    a.Bind(loop);
-    const vaddr here = a.CurrentAddr();
-    a.Add(R0, R0, 1);  // the instruction that gets rewritten
-    a.MovImm(R3, target_addr);
-    a.Str(R4, R3, 0);  // overwrite the ADD above
-    a.Add(R2, R2, 1);
-    a.Cmp(R2, 3);
-    a.B(loop, Cond::kNe);
-    a.Svc();
-    code = a.Finish();
-    target_addr = here;
-  }
-  MachineState cached = MakeFlatMachine(code, true);
-  MachineState uncached = MakeFlatMachine(code, false);
-  RunLockstep(cached, uncached, 200);
-  // 1 on the first pass, 2 on the remaining two: a stale decode would give 3.
-  EXPECT_EQ(cached.r[0], 5u);
-  EXPECT_EQ(uncached.r[0], 5u);
+  MachineState fast = MakeSecureMachine(code, true);
+  MachineState scan = MakeSecureMachine(code, false);
+  RunLockstep(fast, scan, 2010);
+  EXPECT_EQ(fast.r[0], 1500u);
+  EXPECT_EQ(fast.mem.Read(kL2Page), 1500u);
+  EXPECT_FALSE(fast.tlb_consistent);
+  EXPECT_FALSE(scan.tlb_consistent);
 }
 
 // --- Enclave workloads (page tables + monitor in the loop) -----------------------
 
-// Runs `fn` against a cached and an uncached world and requires identical
-// SMC results and machine state.
+// Runs `fn` against a footprint world and a scan world and requires
+// identical SMC results and machine state.
 template <typename Fn>
 void DiffWorlds(Fn fn) {
-  os::World cached{64};
-  os::World uncached{64};
-  cached.machine.interp.set_enabled(true);
-  uncached.machine.interp.set_enabled(false);
-  fn(cached);
-  fn(uncached);
-  ExpectSameState(cached.machine, uncached.machine);
+  os::World fast{64};
+  os::World scan{64};
+  fast.machine.interp.set_enabled(true);
+  scan.machine.interp.set_enabled(false);
+  fn(fast);
+  fn(scan);
+  ExpectSameState(fast.machine, scan.machine);
 }
 
 TEST(InterpDiffTest, Sha256EnclaveMatches) {
@@ -190,7 +166,7 @@ TEST(InterpDiffTest, Sha256EnclaveMatches) {
 }
 
 // Enter enclave A, then B, then A again: every Enter rewrites TTBR0, so a
-// micro-TLB keyed only on virtual page would serve A's translations to B.
+// footprint kept across the switch would answer B's stores with A's tables.
 TEST(InterpDiffTest, TtbrRewriteAcrossEnclaveSwitches) {
   DiffWorlds([](os::World& w) {
     os::EnclaveHandle a, b;
@@ -214,9 +190,8 @@ TEST(InterpDiffTest, TtbrRewriteAcrossEnclaveSwitches) {
 
 TEST(InterpDiffTest, DynamicMappingEnclaveMatches) {
   DiffWorlds([](os::World& w) {
-    // MapData edits the live page table from monitor C++ mid-run; the
-    // uncached path re-walks, the cached path must notice the generation
-    // bump on the L2 page.
+    // MapData edits the live page table from monitor C++ mid-run, and the
+    // enclave then stores through the new mapping.
     os::EnclaveHandle e;
     Assembler a(os::kEnclaveCodeVa);
     a.Mov(R7, R0);

@@ -2,7 +2,7 @@
 // against the per-word loops they replace, at each of the five monitor call
 // sites that use them: the InitAddrspace, InitL2Table, Remove and MapData
 // zero-fills and the MapSecure copy. Cycles and memory must match the loop;
-// the page generation must move (decode-cache and micro-TLB coherence); dirty
+// the page generation must move (page-table footprint coherence); dirty
 // tracking must record the page; and the dirty-bypass injection must still
 // drop that record.
 #include <gtest/gtest.h>
@@ -193,8 +193,8 @@ TEST_P(BulkPageOpsTest, MonitorCallWritesWhatTheLoopWrites) {
   const uint32_t gen_before = w.machine.mem.PageGen(s.dst);
   ASSERT_TRUE(s.call(w));
   EXPECT_EQ(PageWords(w.machine, s.dst), PageWords(loop, s.dst));
-  // Strictly newer: a decode-cache entry or micro-TLB walk recorded against
-  // the old contents cannot validate.
+  // Strictly newer: a page-table footprint recorded against the old
+  // contents cannot validate.
   EXPECT_GT(w.machine.mem.PageGen(s.dst), gen_before);
 }
 

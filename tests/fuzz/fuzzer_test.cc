@@ -210,8 +210,6 @@ TEST(Shrinker, MinimizedWitnessStillFailsAndIsInjectionCaused) {
   cases.push_back({"skip-scratch-clear",
                    NoisyFrom("noninterference", "skip-scratch-clear", "spin-scratch",
                              {{OpKind::kEnter, {0, 0, 0, 0, 0}}})});
-  cases.push_back({"stale-decode", NoisyFrom("interp", "stale-decode", "self-modify",
-                                             {{OpKind::kEnter, {0, 0, 0, 0, 0}}})});
 
   for (ShrinkCase& c : cases) {
     SCOPED_TRACE(c.inject);
@@ -252,7 +250,6 @@ TEST(Injection, RegistryRoundTrip) {
   EXPECT_FALSE(Inject().initaddrspace_alias);
   EXPECT_FALSE(Inject().remove_skip_refcount);
   EXPECT_FALSE(Inject().skip_scratch_clear);
-  EXPECT_FALSE(Inject().stale_decode);
   EXPECT_FALSE(Inject().dirty_bypass);
 }
 

@@ -1,5 +1,5 @@
 // Strict parsing of the KOMODO_* environment switches (src/util/checked_parse.h):
-// KOMODO_TRACE and KOMODO_INTERP_CACHE accept exactly on|1|true|off|0|false,
+// KOMODO_TRACE accepts exactly on|1|true|off|0|false,
 // KOMODO_TRACE_BUF a positive integer. Any other value aborts with
 // "NAME: reason" rather than being read as some other setting.
 #include "src/util/checked_parse.h"
@@ -10,14 +10,13 @@
 #include <optional>
 #include <string>
 
-#include "src/arm/interp_cache.h"
 #include "src/obs/trace.h"
 
 namespace komodo {
 namespace {
 
 // Sets `name` for the lifetime of the guard and restores the previous value
-// (the suite itself may run under KOMODO_TRACE=on or KOMODO_INTERP_CACHE=off).
+// (the suite itself may run under KOMODO_TRACE=on).
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -63,14 +62,6 @@ TEST(CheckedParse, SwitchAcceptsExactlySixSpellings) {
 
 TEST(CheckedParse, ValidSwitchValuesTakeEffect) {
   {
-    ScopedEnv cache("KOMODO_INTERP_CACHE", "false");
-    EXPECT_FALSE(arm::InterpCaches().enabled());
-  }
-  {
-    ScopedEnv cache("KOMODO_INTERP_CACHE", "1");
-    EXPECT_TRUE(arm::InterpCaches().enabled());
-  }
-  {
     ScopedEnv trace("KOMODO_TRACE", "true");
     ScopedEnv buf("KOMODO_TRACE_BUF", "0x10");
     obs::Observability o;
@@ -113,15 +104,6 @@ TEST_F(CheckedParseDeathTest, MalformedTraceBufAborts) {
         obs::Observability o;
       },
       "KOMODO_TRACE_BUF: expected a positive integer, got \"0\"");
-}
-
-TEST_F(CheckedParseDeathTest, MalformedInterpCacheSwitchAborts) {
-  EXPECT_DEATH(
-      {
-        setenv("KOMODO_INTERP_CACHE", "of", 1);
-        arm::InterpCaches c;
-      },
-      "KOMODO_INTERP_CACHE: expected on\\|1\\|true\\|off\\|0\\|false, got \"of\"");
 }
 
 }  // namespace

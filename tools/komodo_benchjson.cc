@@ -133,7 +133,6 @@ void ValidateCallStatsArray(const JsonValue& arr, const std::string& where) {
     }
     RequireMember(s, w, "steps", JsonValue::Kind::kNumber);
     RequireMember(s, w, "wall_ns", JsonValue::Kind::kNumber);
-    RequireMember(s, w, "interp_cache", JsonValue::Kind::kObject);
     RequireMember(s, w, "tlb_flushes", JsonValue::Kind::kNumber);
   }
 }
