@@ -1,9 +1,8 @@
 // Fuzz-campaign throughput benchmark (DESIGN.md §11, §15): monitor calls/sec
-// for the differential fuzzer under (a) fresh world construction per trace —
-// the pre-pooling baseline, (b) snapshot-reset world pooling, and (c) a
-// worker sweep over --jobs. Every sweep configuration must produce the same
-// campaign hash; the bench aborts if any run disagrees, so the numbers can
-// never come from different work.
+// for the differential fuzzer, serially and over a worker sweep of --jobs,
+// with speedups relative to the serial run. Every sweep configuration must
+// produce the same campaign hash; the bench aborts if any run disagrees, so
+// the numbers can never come from different work.
 //
 // The jobs sweep clamps every requested worker count to the host's hardware
 // concurrency: running 8 threads on 1 core measures scheduler thrash, not
@@ -87,13 +86,8 @@ int main(int argc, char** argv) {
   sweep.trace_len = 60;
 
   std::vector<Run> runs;
-  {
-    komodo::fuzz::CampaignOptions fresh = sweep;
-    fresh.reuse_worlds = false;
-    runs.push_back(RunConfig("serial-fresh", fresh, 1, 1));
-  }
   runs.push_back(RunConfig("serial-pooled", sweep, 1, 1));
-  unsigned max_effective = 1;  // job counts already measured (1 = the serial runs)
+  unsigned max_effective = 1;  // job counts already measured (1 = the serial run)
   for (const int jobs : {2, 4, 8}) {
     const unsigned effective = std::min<unsigned>(static_cast<unsigned>(jobs), host_cores);
     if (effective <= max_effective) {
@@ -198,7 +192,7 @@ int main(int argc, char** argv) {
     json.Result(run.name, "worlds_built", static_cast<double>(r.worlds_built), "worlds");
     json.Result(run.name, "worlds_reused", static_cast<double>(r.worlds_reused), "worlds");
     json.Result(run.name, "pages_per_reset", pages_per_reset, "pages");
-    json.Result(run.name, "speedup_vs_serial_fresh", base / r.wall_seconds, "x");
+    json.Result(run.name, "speedup_vs_serial_pooled", base / r.wall_seconds, "x");
   }
 
   std::printf("\n=== evolve vs blind coverage (calls_per_oracle=%llu) ===\n",

@@ -45,10 +45,11 @@ class Monitor {
 
   // A user-execution engine: runs enclave code in user mode until an
   // exception is taken (which it must apply to the machine via
-  // TakeException) and returns that exception. The default engine is the
-  // A32 interpreter; the enclave runtime installs native programs here
+  // TakeException) and returns that exception, or returns nullopt without
+  // touching the machine to hand the enclave to the default engine, the A32
+  // interpreter. The enclave runtime installs native programs here
   // (mirroring the paper's havoc model of user execution, §5.1).
-  using UserRunner = std::function<arm::Exception(arm::MachineState&)>;
+  using UserRunner = std::function<std::optional<arm::Exception>(arm::MachineState&)>;
 
   explicit Monitor(arm::MachineState& m, const Config& config);
   explicit Monitor(arm::MachineState& m) : Monitor(m, Config{}) {}

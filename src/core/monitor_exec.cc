@@ -125,7 +125,9 @@ void Monitor::RestoreOsBankedState() {
 
 arm::Exception Monitor::RunUser() {
   if (user_runner_) {
-    return user_runner_(machine_);
+    if (const std::optional<Exception> exc = user_runner_(machine_)) {
+      return *exc;
+    }
   }
   std::optional<Exception> exc = arm::RunUntilException(machine_, config_.max_enclave_steps);
   if (exc.has_value()) {

@@ -84,7 +84,7 @@ bool UserContext::WriteBytes(vaddr va, const uint8_t* data, size_t len) {
   return true;
 }
 
-NativeRuntime::NativeRuntime(Monitor& monitor) : monitor_(&monitor) {
+NativeRuntime::NativeRuntime(Monitor& monitor) {
   monitor.SetUserRunner([this](arm::MachineState& m) { return RunUser(m); });
 }
 
@@ -92,7 +92,7 @@ void NativeRuntime::Register(PageNr l1pt_page, std::shared_ptr<NativeProgram> pr
   programs_[PagePaddr(l1pt_page)] = std::move(program);
 }
 
-Exception NativeRuntime::RunUser(arm::MachineState& m) {
+std::optional<Exception> NativeRuntime::RunUser(arm::MachineState& m) {
   assert(m.cpsr.mode == arm::Mode::kUser);
   assert(m.tlb_consistent);
 
@@ -110,17 +110,7 @@ Exception NativeRuntime::RunUser(arm::MachineState& m) {
 
   const auto it = programs_.find(m.ttbr0);
   if (it == programs_.end()) {
-    // No native program for this address space: it is an ordinary interpreted
-    // enclave. Run it like the monitor's default engine would (interpreter
-    // with the environment's timer backstop).
-    std::optional<Exception> exc =
-        arm::RunUntilException(m, monitor_->config().max_enclave_steps);
-    if (!exc.has_value()) {
-      m.pending_irq = true;
-      exc = arm::RunUntilException(m, 2);
-    }
-    assert(exc.has_value());
-    return *exc;
+    return std::nullopt;  // an ordinary interpreted enclave
   }
 
   UserContext ctx(m);

@@ -12,6 +12,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "src/arm/execute.h"
 #include "src/arm/machine.h"
@@ -95,10 +96,11 @@ class NativeRuntime {
   // Registers `program` for the enclave whose L1 table lives in `l1pt_page`.
   void Register(PageNr l1pt_page, std::shared_ptr<NativeProgram> program);
 
-  arm::Exception RunUser(arm::MachineState& m);
+  // Runs the registered program for the active address space; nullopt (the
+  // monitor's interpreter runs it) when none is registered.
+  std::optional<arm::Exception> RunUser(arm::MachineState& m);
 
  private:
-  Monitor* monitor_;
   std::map<word, std::shared_ptr<NativeProgram>> programs_;  // by TTBR0 value
 };
 

@@ -256,7 +256,7 @@ void ReportFailure(const CampaignOptions& opts, const ShardFailure& failure,
     log(out.str());
   }
   if (opts.shrink) {
-    WorldPool shrink_pool(FuzzMonitorConfig(), opts.reuse_worlds);
+    WorldPool shrink_pool;
     result.witness = ShrinkTrace(
         result.original, [&](const Trace& c) { return RunTrace(c, true, &shrink_pool); },
         &result.shrink);
@@ -293,7 +293,7 @@ CampaignResult RunBlindCampaign(const CampaignOptions& opts,
   const unsigned jobs = ResolveJobs(opts, tasks.size());
   std::vector<std::unique_ptr<WorldPool>> pools(std::max(1u, jobs));
   for (auto& p : pools) {
-    p = std::make_unique<WorldPool>(FuzzMonitorConfig(), opts.reuse_worlds);
+    p = std::make_unique<WorldPool>();
   }
   ExecuteTasks(
       tasks, jobs, pools,
@@ -385,7 +385,7 @@ CampaignResult RunEvolveCampaign(const CampaignOptions& opts,
   const unsigned jobs = ResolveJobs(opts, oracles.size() * shards);
   std::vector<std::unique_ptr<WorldPool>> pools(std::max(1u, jobs));
   for (auto& p : pools) {
-    p = std::make_unique<WorldPool>(FuzzMonitorConfig(), opts.reuse_worlds);
+    p = std::make_unique<WorldPool>();
   }
 
   // Per-(oracle, shard) call ledger. Each shard owns the same total budget a

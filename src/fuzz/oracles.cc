@@ -14,6 +14,7 @@
 #include "src/spec/equivalence.h"
 #include "src/spec/extract.h"
 #include "src/spec/invariants.h"
+#include "src/spec/refinement.h"
 #include "src/spec/spec_dispatch.h"
 
 namespace komodo::fuzz {
@@ -131,13 +132,17 @@ bool BuildVictim(os::World& w, const std::string& name, os::EnclaveHandle* out,
 // (possible only when a fault injection corrupted the monitor's structures)
 // is an oracle failure with a replayable verdict, not a harness abort — the
 // corpus pins traces whose whole point is reproducing exactly that.
+Verdict ExtractFailure(const Trace& t, size_t i, const spec::ExtractError& xerr) {
+  return Fail(static_cast<int>(i), OpLabel(t, i) + ": spec extraction failed at page " +
+                                       std::to_string(xerr.page) + ": " + xerr.detail);
+}
+
 std::optional<Verdict> ExtractInto(const os::World& w, const Trace& t, size_t i,
                                    spec::PageDb* out) {
   spec::ExtractError xerr;
   std::optional<spec::PageDb> got = spec::TryExtractPageDb(w.machine, &xerr);
   if (!got.has_value()) {
-    return Fail(static_cast<int>(i), OpLabel(t, i) + ": spec extraction failed at page " +
-                                         std::to_string(xerr.page) + ": " + xerr.detail);
+    return ExtractFailure(t, i, xerr);
   }
   *out = std::move(*got);
   return std::nullopt;
@@ -163,8 +168,9 @@ std::vector<word> DriverProgram() {
 
 // --- refinement / invariants ---------------------------------------------------
 
-// One replay loop serves both spec-backed oracles: with `with_spec` it is the
-// full bisimulation, without it only the PageDB invariants are checked.
+// One replay loop serves both spec-backed oracles: with `with_spec` every
+// call is judged against the spec (spec::JudgeStep), without it only the
+// PageDB invariants are checked.
 Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageMap* cover) {
   WorldPool::Lease lease = pool.Acquire(t.pages);
   os::World& w = lease.world();
@@ -184,9 +190,18 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
     driver = *std::move(built);
   }
 
+  // The call an op made and the spec's result for it, judged once the
+  // post-state is extracted.
+  struct Step {
+    spec::StepCall call;
+    spec::Result expected;
+    word impl_err = 0;
+  };
+
   spec::PageDb d = spec::ExtractPageDb(w.machine);
   for (size_t i = 0; i < t.ops.size(); ++i) {
     const TraceOp& op = t.ops[i];
+    std::optional<Step> step;
     switch (op.kind) {
       case OpKind::kPoke:
         ApplyPoke(w, op);  // insecure RAM is outside the PageDb
@@ -196,51 +211,16 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
         break;  // no victim in spec-backed traces
       case OpKind::kSmc: {
         const std::array<word, 4> args{op.a[1], op.a[2], op.a[3], op.a[4]};
-        const bool enterish = op.a[0] == kSmcEnter || op.a[0] == kSmcResume;
-        spec::Result expected{0, spec::PageDb()};
         if (with_spec) {
-          expected = spec::ApplySmc(d, w.machine, op.a[0], args);
+          step = Step{spec::StepCall::Smc(op.a[0]), spec::ApplySmc(d, w.machine, op.a[0], args)};
         }
         const os::SmcRet got = w.os.Smc(op.a[0], args[0], args[1], args[2], args[3]);
-        if (!with_spec) {
-          break;
-        }
-        if (enterish && expected.err == kErrSuccess) {
-          // The guard passed; user-mode execution is havoc in the spec, so
-          // accept any legitimate outcome and resynchronize.
-          if (got.err != kErrSuccess && got.err != kErrInterrupted && got.err != kErrFault) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": enter/resume guard passed in spec but impl says " +
-                            KomErrName(got.err));
-          }
-          if (auto bad = ExtractInto(w, t, i, &d)) {
-            return *bad;
-          }
-        } else {
-          if (got.err != expected.err) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": smc " + std::to_string(op.a[0]) + " impl=" +
-                            KomErrName(got.err) + " spec=" + KomErrName(expected.err));
-          }
-          d = expected.db;
-          spec::PageDb got_db(0);
-          if (auto bad = ExtractInto(w, t, i, &got_db)) {
-            return *bad;
-          }
-          if (!(got_db == d)) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": smc " + std::to_string(op.a[0]) +
-                            " pagedb diverges from spec");
-          }
+        if (step.has_value()) {
+          step->impl_err = got.err;
         }
         break;
       }
       case OpKind::kSvc: {
-        if (!with_spec) {
-          if (auto bad = ExtractInto(w, t, i, &d)) {
-            return *bad;
-          }
-        }
         // Staging the SVC arguments writes the driver's data page directly —
         // the same deus-ex channel the noninterference victims use for their
         // secrets. That is only sound while the page still *is* the driver's
@@ -267,69 +247,38 @@ Verdict RunSpecBacked(const Trace& t, bool with_spec, WorldPool& pool, CoverageM
           w.os.Enter(driver.thread);
           break;
         }
-        // Check the Enter guard first; only when the intact driver actually
-        // runs is the SVC itself comparable against the spec.
-        const spec::Result guard = spec::ApplySmc(d, w.machine, kSmcEnter,
-                                                  {driver.thread, 0, 0, 0});
+        spec::Result guard = spec::ApplySmc(d, w.machine, kSmcEnter, {driver.thread, 0, 0, 0});
         const os::SmcRet got = AbiWords(w.os.Enter(driver.thread));
-        if (guard.err != kErrSuccess) {
-          if (got.err != guard.err) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": driver enter impl=" + KomErrName(got.err) +
-                            " spec=" + KomErrName(guard.err));
-          }
-          break;
-        }
-        if (!intact || got.err != kErrSuccess) {
-          // Some other enclave's code ran, or the driver faulted or was
-          // interrupted mid-program: user-execution havoc either way.
-          if (got.err != kErrSuccess && got.err != kErrInterrupted && got.err != kErrFault) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": enter guard passed in spec but impl says " +
-                            KomErrName(got.err));
-          }
-          if (auto bad = ExtractInto(w, t, i, &d)) {
-            return *bad;
-          }
-          break;
-        }
-        const spec::Result expected =
-            spec::ApplySvc(d, driver.addrspace, op.a[0], {op.a[1], op.a[2], op.a[3]});
-        // Attest/Verify write through user VAs (havoc territory); Exit's
-        // result is its argument. Everything else must report the spec's
-        // error word and land on the spec's PageDb.
-        const bool modelled =
-            op.a[0] != kSvcExit && op.a[0] != kSvcAttest && op.a[0] != kSvcVerify;
-        if (modelled && got.val != expected.err) {
-          return Fail(static_cast<int>(i),
-                      OpLabel(t, i) + ": svc " + std::to_string(op.a[0]) + " impl result=" +
-                          KomErrName(got.val) + " spec=" + KomErrName(expected.err));
-        }
-        if (modelled) {
-          spec::PageDb got_db(0);
-          if (auto bad = ExtractInto(w, t, i, &got_db)) {
-            return *bad;
-          }
-          if (!(got_db == expected.db)) {
-            return Fail(static_cast<int>(i),
-                        OpLabel(t, i) + ": svc " + std::to_string(op.a[0]) +
-                            " pagedb diverges from spec");
-          }
-          d = expected.db;
-        } else if (auto bad = ExtractInto(w, t, i, &d)) {
-          return *bad;
+        if (guard.err == kErrSuccess && intact && got.err == kErrSuccess) {
+          // The intact driver ran to its exit: the SVC itself is the step,
+          // and its r0 result came back as the exit value.
+          step = Step{spec::StepCall::Svc(op.a[0]),
+                      spec::ApplySvc(d, driver.addrspace, op.a[0], {op.a[1], op.a[2], op.a[3]}),
+                      got.val};
+        } else {
+          // The Enter is the step: refused, or havoc because some other
+          // enclave's code ran or the driver faulted or was interrupted.
+          step = Step{spec::StepCall::Smc(kSmcEnter), std::move(guard), got.err};
         }
         break;
       }
     }
-    spec::PageDb cur(0);
-    if (auto bad = ExtractInto(w, t, i, &cur)) {
-      return *bad;
+    spec::ExtractError xerr;
+    std::optional<spec::PageDb> post = spec::TryExtractPageDb(w.machine, &xerr);
+    if (step.has_value()) {
+      if (auto bad = spec::JudgeStep(step->call, step->expected, step->impl_err, d,
+                                     post.has_value() ? &*post : nullptr)) {
+        return Fail(static_cast<int>(i), OpLabel(t, i) + ": " + *bad);
+      }
     }
+    if (!post.has_value()) {
+      return ExtractFailure(t, i, xerr);
+    }
+    d = std::move(*post);
     if (cover != nullptr) {
-      HarvestPageDbCoverage(cur, cover);
+      HarvestPageDbCoverage(d, cover);
     }
-    const auto violations = spec::PageDbViolations(cur);
+    const auto violations = spec::PageDbViolations(d);
     if (!violations.empty()) {
       return Fail(static_cast<int>(i), OpLabel(t, i) + ": invariant: " + violations.front());
     }
@@ -522,8 +471,8 @@ std::vector<std::string> MachineDiff(const arm::MachineState& a, const arm::Mach
 }
 
 Verdict RunTrace(const Trace& t, bool apply_inject, WorldPool* pool, CoverageMap* cover) {
-  // One-shot callers get a throwaway pool, which degenerates to the old
-  // construct-per-run behaviour (every Acquire builds a fresh world).
+  // One-shot callers get a throwaway pool, so every Acquire builds a fresh
+  // world: the reference the pooled verdicts are tested against.
   WorldPool local_pool;
   WorldPool& p = pool != nullptr ? *pool : local_pool;
   const std::string inject = apply_inject ? t.inject : std::string();

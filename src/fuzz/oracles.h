@@ -2,10 +2,10 @@
 // replays a Trace against fresh world(s) and decides whether the monitor
 // upheld its contract.
 //
-//   refinement        impl-vs-spec bisimulation through the call registry:
-//                     every SMC's error code and resulting abstract PageDb
-//                     must match spec::ApplySmc; SVCs are driven through a
-//                     driver enclave and compared against spec::ApplySvc.
+//   refinement        every call judged by spec::JudgeStep (the relation
+//                     komodo-verify checks too) against spec::ApplySmc; SVCs
+//                     are driven through a driver enclave and judged against
+//                     spec::ApplySvc.
 //   invariants        spec::PageDbViolations after every operation.
 //   noninterference   two worlds differing only in a victim's secret replay
 //                     the identical trace; every SMC result and the full

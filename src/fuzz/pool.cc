@@ -21,37 +21,30 @@ WorldPool::Lease WorldPool::Acquire(word pages) {
     Lease::Slot slot = std::move(bucket.free.back());
     bucket.free.pop_back();
     ++stats_.resets;
-    stats_.pages_restored += slot.world->machine.ResetTo(*slot.snapshot);
-    slot.world->monitor.ResetForReuse();
-    slot.world->os.ResetForReuse();
+    stats_.pages_restored += slot.world->ResetTo(*slot.snapshot);
     return Lease(this, std::move(slot));
   }
   Lease::Slot slot;
   slot.world = std::make_unique<os::World>(pages, config_);
   ++stats_.constructions;
-  if (reuse_) {
-    arm::PhysMemory& mem = slot.world->machine.mem;
-    mem.EnableDirtyTracking();
-    if (bucket.snapshot == nullptr) {
-      // Boot is deterministic, so this world's post-boot state doubles as the
-      // reset target for every later world of the same geometry.
-      bucket.snapshot = std::make_shared<const arm::MachineState>(slot.world->machine);
-    } else {
-      // Later worlds of the bucket join the snapshot's baseline so the
-      // oracles compare them with their siblings page by dirty page. The
-      // adoption compares every word once instead of trusting determinism;
-      // a world that differs keeps its own token and compares in full.
-      mem.AdoptBaseline(bucket.snapshot->mem);
-    }
-    slot.snapshot = bucket.snapshot;
+  arm::PhysMemory& mem = slot.world->machine.mem;
+  mem.EnableDirtyTracking();
+  if (bucket.snapshot == nullptr) {
+    // Boot is deterministic, so this world's post-boot state doubles as the
+    // reset target for every later world of the same geometry.
+    bucket.snapshot = std::make_shared<const arm::MachineState>(slot.world->machine);
+  } else {
+    // Later worlds of the bucket join the snapshot's baseline so the
+    // oracles compare them with their siblings page by dirty page. The
+    // adoption compares every word once instead of trusting determinism;
+    // a world that differs keeps its own token and compares in full.
+    mem.AdoptBaseline(bucket.snapshot->mem);
   }
+  slot.snapshot = bucket.snapshot;
   return Lease(this, std::move(slot));
 }
 
 void WorldPool::Release(Lease::Slot slot) {
-  if (!reuse_) {
-    return;  // drop it; the next Acquire constructs fresh (baseline mode)
-  }
   buckets_[slot.world->machine.mem.nsecure_pages()].free.push_back(std::move(slot));
 }
 

@@ -10,10 +10,10 @@
 //   * at first construction the world's memory turns on dirty-page tracking
 //     and a full copy of the post-boot MachineState is captured (one shared
 //     copy per world geometry, since boot is deterministic);
-//   * Acquire hands out a pooled world after MachineState::ResetTo(snapshot)
-//     — which rewrites only the pages the previous trace dirtied and
-//     resets the page-table footprint — plus Monitor::ResetForReuse and
-//     Os::ResetForReuse for the C++-side bookkeeping.
+//   * Acquire hands out a pooled world after World::ResetTo(snapshot) —
+//     which rewrites only the pages the previous trace dirtied, resets the
+//     page-table footprint and rewinds the monitor's and OS model's C++-side
+//     bookkeeping.
 //
 // The result is state-equal to a fresh construction (pinned by
 // tests/fuzz/parallel_campaign_test.cc) at a small fraction of the cost.
@@ -42,9 +42,8 @@ Monitor::Config FuzzMonitorConfig();
 
 class WorldPool {
  public:
-  explicit WorldPool(const Monitor::Config& config = FuzzMonitorConfig(),
-                     bool reuse = true)
-      : config_(config), reuse_(reuse) {}
+  explicit WorldPool(const Monitor::Config& config = FuzzMonitorConfig())
+      : config_(config) {}
   WorldPool(const WorldPool&) = delete;
   WorldPool& operator=(const WorldPool&) = delete;
 
@@ -85,11 +84,10 @@ class WorldPool {
 
   // Hands out a world with `pages` secure pages, booted and in its pristine
   // post-boot state: a pooled world reset via snapshot, or a fresh
-  // construction when the pool is empty (or reuse is disabled).
+  // construction when the pool is empty.
   Lease Acquire(word pages);
 
   const Stats& stats() const { return stats_; }
-  bool reuse() const { return reuse_; }
 
  private:
   friend class Lease;
@@ -100,7 +98,6 @@ class WorldPool {
   void Release(Lease::Slot slot);
 
   Monitor::Config config_;
-  bool reuse_;
   std::unordered_map<word, Bucket> buckets_;  // keyed by secure-page count
   Stats stats_;
 };

@@ -50,12 +50,8 @@ void Histogram::Add(uint64_t v) {
 }
 
 Observability::Observability() {
-  // Both variables are validated whether or not tracing is on, so a bad ring
-  // size is reported on the run that sets it, not the first traced one.
-  const bool on = EnvSwitch("KOMODO_TRACE", false);
-  const uint64_t capacity = EnvPositiveU64("KOMODO_TRACE_BUF", kDefaultRingCapacity);
-  if (on) {
-    Enable(static_cast<size_t>(capacity));
+  if (EnvSwitch("KOMODO_TRACE", false)) {
+    Enable();
   }
 }
 

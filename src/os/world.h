@@ -20,6 +20,16 @@ struct World {
     monitor.Boot();
     machine.pc = 0x1000;  // the OS kernel "executes" from insecure RAM
   }
+
+  // Rewinds the world to `boot`, a copy of this world's machine taken right
+  // after construction: the machine's dirty pages, then the monitor's and
+  // the OS model's C++-side bookkeeping. Returns the pages restored.
+  size_t ResetTo(const arm::MachineState& boot) {
+    const size_t restored = machine.ResetTo(boot);
+    monitor.ResetForReuse();
+    os.ResetForReuse();
+    return restored;
+  }
 };
 
 }  // namespace komodo::os

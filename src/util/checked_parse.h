@@ -70,36 +70,18 @@ inline bool TryParseSwitch(const char* token, bool* out) {
   return false;
 }
 
+// Reads switch variable `name`: `fallback` when unset, else TryParseSwitch.
 // Environment variables are read once, at startup, by code with no error
 // path, so a malformed value aborts with "NAME: reason" instead of being
 // coerced into some other setting.
-[[noreturn]] inline void EnvAbort(const char* name, const char* value, const char* expected) {
-  std::fprintf(stderr, "%s: expected %s, got \"%s\"\n", name, expected, value);
-  std::abort();
-}
-
-// Reads switch variable `name`: `fallback` when unset, else TryParseSwitch.
 inline bool EnvSwitch(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   bool on = fallback;
   if (v != nullptr && !TryParseSwitch(v, &on)) {
-    EnvAbort(name, v, "on|1|true|off|0|false");
+    std::fprintf(stderr, "%s: expected on|1|true|off|0|false, got \"%s\"\n", name, v);
+    std::abort();
   }
   return on;
-}
-
-// Reads positive-integer variable `name`: `fallback` when unset, else
-// TryParseU64 with zero rejected.
-inline uint64_t EnvPositiveU64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) {
-    return fallback;
-  }
-  uint64_t n = 0;
-  if (!TryParseU64(v, &n) || n == 0) {
-    EnvAbort(name, v, "a positive integer");
-  }
-  return n;
 }
 
 }  // namespace komodo

@@ -6,6 +6,7 @@
 #include "src/core/kom_defs.h"
 #include "src/spec/extract.h"
 #include "src/spec/invariants.h"
+#include "src/spec/refinement.h"
 #include "src/spec/spec_dispatch.h"
 
 namespace komodo::verify {
@@ -36,8 +37,8 @@ ObligationResult FailOb(std::string detail, word impl_err) {
   return res;
 }
 
-// A passing transition. Obligation 1 is checked again on the successor:
-// states resynchronized from the machine after havoc transitions never went
+// A passing transition. Obligation 1 is checked again on the successor, the
+// implementation's post-state: after a havoc transition it never went
 // through the spec-side check. The result is built around `successor` rather
 // than assigned into, so no engaged optional is ever overwritten.
 ObligationResult Succeed(word impl_err, std::optional<spec::PageDb> successor) {
@@ -77,9 +78,7 @@ void ConcreteWorld::PreparePath(const std::vector<VerifyOp>& path) {
   // last probe dirtied (still listed). Re-mark the former so the boot reset
   // restores both.
   MarkPages(&world_.machine, path_pages_);
-  world_.machine.ResetTo(*boot_);
-  world_.monitor.ResetForReuse();
-  world_.os.ResetForReuse();
+  world_.ResetTo(*boot_);
 
   for (const VerifyOp& op : path) {
     if (op.irq) {
@@ -147,7 +146,7 @@ ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
 
   // Spec side first: ApplySmc reads the machine for the insecure-memory
   // environment, which must be sampled in the pre-state.
-  spec::Result sres =
+  const spec::Result sres =
       op.is_svc
           ? spec::ApplySvc(d, op.as_page, op.call, {op.args[0], op.args[1], op.args[2]})
           : spec::ApplySmc(d, world.machine(), op.call, op.args);
@@ -160,54 +159,20 @@ ObligationResult CheckTransition(ConcreteWorld& world, const spec::PageDb& d,
     }
   }
 
-  // Obligation 2: the implementation refines the spec.
+  // Obligation 2: the implementation refines the spec. A post-state that
+  // re-decoded no entry is `d` itself.
   ConcreteWorld::Outcome out = world.RunStaged(op);
-  if (!out.extract_error.empty()) {
+  const bool decoded = out.extract_error.empty();
+  const spec::PageDb* post = !decoded ? nullptr : out.post.has_value() ? &*out.post : &d;
+  if (auto bad = spec::JudgeStep({op.is_svc, op.call}, sres, out.impl_err, d, post)) {
+    return FailOb(std::move(*bad), out.impl_err);
+  }
+  if (!decoded) {
     return FailOb("extraction failed after impl call: " + out.extract_error, out.impl_err);
   }
-
-  const bool enterish = !op.is_svc && (op.call == kSmcEnter || op.call == kSmcResume);
-  const bool havoc_svc =
-      op.is_svc && (op.call == kSvcExit || op.call == kSvcAttest || op.call == kSvcVerify);
-
-  if (enterish && sres.err == kErrSuccess) {
-    // The guard passed; user-mode execution is havoc in the spec. Accept any
-    // legitimate outcome and resynchronize from the machine.
-    if (out.impl_err != kErrSuccess && out.impl_err != kErrInterrupted &&
-        out.impl_err != kErrFault) {
-      return FailOb(std::string("enter/resume guard passed in spec but impl says ") +
-                        KomErrName(out.impl_err),
-                    out.impl_err);
-    }
-    return Succeed(out.impl_err, std::move(out.post));  // nullopt when no entry changed
-  }
-  if (havoc_svc) {
-    // Guard-only specs whose failures live in user-memory havoc (Attest and
-    // Verify fault on bad virtual addresses; Exit cannot fail). The error
-    // set is still pinned: the explorer compares every observed error
-    // against the registry row, so an undeclared failure mode fails the run.
-    return Succeed(out.impl_err, std::move(out.post));
-  }
-  if (out.impl_err != sres.err) {
-    return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
-                      " impl=" + KomErrName(out.impl_err) + " spec=" + KomErrName(sres.err),
-                  out.impl_err);
-  }
-  if (sres.err == kErrSuccess) {
-    const spec::PageDb& got = out.post.has_value() ? *out.post : d;
-    if (!(got == sres.db)) {
-      return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
-                        " pagedb diverges from spec",
-                    out.impl_err);
-    }
-    return Succeed(out.impl_err, std::move(sres.db));
-  }
-  if (out.post.has_value() && !(*out.post == d)) {
-    return FailOb(std::string(op.is_svc ? "svc" : "smc") + " " + std::to_string(op.call) +
-                      " failed with " + KomErrName(out.impl_err) + " but mutated the pagedb",
-                  out.impl_err);
-  }
-  return Succeed(out.impl_err, std::nullopt);
+  // A failed call left the PageDb as it was (the judge checked that), so only
+  // a successful one can hand off a new state; nullopt when no entry changed.
+  return Succeed(out.impl_err, sres.err == kErrSuccess ? std::move(out.post) : std::nullopt);
 }
 
 }  // namespace komodo::verify

@@ -5,9 +5,8 @@
 //      PageDb has no PageDbViolations (checked on the spec output, so this is
 //      an inductive proof over the explored world, not a sampled one);
 //   2. refinement — the concrete monitor, run from a machine whose extraction
-//      equals d, returns the spec's error word and lands on the spec's PageDb
-//      (Enter/Resume and the user-memory SVCs are havoc-resynchronized the
-//      same way the fuzzing oracles do);
+//      equals d, refines the spec: spec::JudgeStep, the relation the fuzzer's
+//      refinement oracle judges every call by, accepts the step;
 //   3. error-code agreement — every error the implementation actually returns
 //      is recorded so the explorer can compare the per-call observation
 //      against the registry row's declared `errors` set.
@@ -109,7 +108,9 @@ struct ObligationResult {
   bool ok = true;
   std::string detail;                  // failure description when !ok
   word impl_err = 0;                   // for error-set accounting
-  std::optional<spec::PageDb> successor;  // present iff the PageDb changed
+  // The implementation's post-state; nullopt when the call re-decoded no
+  // entry, i.e. the state is unchanged.
+  std::optional<spec::PageDb> successor;
 };
 
 // Checks one transition from abstract state `d` (the extraction of the

@@ -1,7 +1,6 @@
 // Strict parsing of the KOMODO_* environment switches (src/util/checked_parse.h):
-// KOMODO_TRACE accepts exactly on|1|true|off|0|false,
-// KOMODO_TRACE_BUF a positive integer. Any other value aborts with
-// "NAME: reason" rather than being read as some other setting.
+// KOMODO_TRACE accepts exactly on|1|true|off|0|false. Any other value aborts
+// with "NAME: reason" rather than being read as some other setting.
 #include "src/util/checked_parse.h"
 
 #include <gtest/gtest.h>
@@ -63,7 +62,6 @@ TEST(CheckedParse, SwitchAcceptsExactlySixSpellings) {
 TEST(CheckedParse, ValidSwitchValuesTakeEffect) {
   {
     ScopedEnv trace("KOMODO_TRACE", "true");
-    ScopedEnv buf("KOMODO_TRACE_BUF", "0x10");
     obs::Observability o;
     EXPECT_TRUE(o.enabled());
   }
@@ -82,28 +80,6 @@ TEST_F(CheckedParseDeathTest, MalformedTraceSwitchAborts) {
         obs::Observability o;
       },
       "KOMODO_TRACE: expected on\\|1\\|true\\|off\\|0\\|false, got \"yes\"");
-}
-
-TEST_F(CheckedParseDeathTest, MalformedTraceBufAborts) {
-  EXPECT_DEATH(
-      {
-        setenv("KOMODO_TRACE", "on", 1);
-        setenv("KOMODO_TRACE_BUF", "10x", 1);
-        obs::Observability o;
-      },
-      "KOMODO_TRACE_BUF: expected a positive integer, got \"10x\"");
-  EXPECT_DEATH(
-      {
-        setenv("KOMODO_TRACE_BUF", "abc", 1);
-        obs::Observability o;
-      },
-      "KOMODO_TRACE_BUF: expected a positive integer, got \"abc\"");
-  EXPECT_DEATH(
-      {
-        setenv("KOMODO_TRACE_BUF", "0", 1);
-        obs::Observability o;
-      },
-      "KOMODO_TRACE_BUF: expected a positive integer, got \"0\"");
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // End-to-end properties of the small-world exploration: the default world
 // closes with every obligation holding, the registry's declared error sets
 // are exactly the observable ones (both directions), and an injected monitor
-// bug is found with a counterexample the fuzzer replays.
+// bug is found with a counterexample the fuzzer replays to the same verdict.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "src/core/call_table.h"
 #include "src/fuzz/oracles.h"
@@ -58,6 +60,14 @@ TEST(VerifyWorldTest, InjectedBugIsFoundAndWitnessReplays) {
   // committed corpus).
   const fuzz::Verdict with = fuzz::RunTrace(r.failure->trace, /*apply_inject=*/true);
   EXPECT_TRUE(with.failed) << "witness does not reproduce under the injection";
+  // Both tools judge the step with spec::JudgeStep, so an exact replay fails
+  // the fuzzer at the witness's last op with the checker's text. The wrong
+  // error word is reported ahead of the post-state that does not decode.
+  EXPECT_EQ(r.failure->detail, "smc 10 impl=success spec=invalid_pageno");
+  EXPECT_EQ(with.failing_op, static_cast<int>(r.failure->depth) - 1);
+  const std::string& judged = r.failure->detail;
+  ASSERT_GE(with.detail.size(), judged.size()) << with.detail;
+  EXPECT_EQ(with.detail.substr(with.detail.size() - judged.size()), judged) << with.detail;
   const fuzz::Verdict without = fuzz::RunTrace(r.failure->trace, /*apply_inject=*/false);
   EXPECT_FALSE(without.failed) << "clean monitor fails the witness: " << without.detail;
 }

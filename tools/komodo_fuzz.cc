@@ -6,7 +6,7 @@
 // reproducer and writes it as a small text file for tests/corpus/.
 //
 // Determinism contract: stdout is a pure function of the flags *except
-// --jobs and --no-reuse* (which only change how fast the same work runs) —
+// --jobs* (which only changes how fast the same work runs) —
 // timing and progress go to stderr. `komodo-fuzz --seed N ... | sha256sum`
 // twice gives identical bytes, `--jobs 1` and `--jobs 8` give identical
 // bytes, and the campaign-hash line pins every generated trace and verdict
@@ -19,13 +19,12 @@
 // over --rounds synchronous generations, each mutating the traces that
 // discovered new coverage. Evolve stdout — including the v3 campaign hash,
 // per-oracle coverage/corpus counts and the coverage-curve line — obeys the
-// same determinism contract: a pure function of everything but --jobs and
-// --no-reuse.
+// same determinism contract: a pure function of everything but --jobs.
 //
 // Usage:
 //   komodo-fuzz [--seed N] [--calls N] [--oracle all|<name>] [--trace-len N]
 //               [--inject <name>] [--no-shrink] [--out DIR]
-//               [--jobs N] [--shards N] [--no-reuse]
+//               [--jobs N] [--shards N]
 //               [--mode blind|evolve] [--rounds N] [--max-corpus N]
 //               [--corpus-dir DIR]
 //   komodo-fuzz --replay FILE [--no-inject]
@@ -61,7 +60,7 @@ int Usage() {
                "usage: komodo-fuzz [--seed N] [--calls N] [--oracle all|refinement|"
                "invariants|noninterference|interp]\n"
                "                   [--trace-len N] [--inject NAME] [--no-shrink] [--out DIR]\n"
-               "                   [--jobs N] [--shards N] [--no-reuse]\n"
+               "                   [--jobs N] [--shards N]\n"
                "                   [--mode blind|evolve] [--rounds N] [--max-corpus N]\n"
                "                   [--corpus-dir DIR]\n"
                "       komodo-fuzz --replay FILE [--no-inject]\n");
@@ -163,8 +162,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage();
       opts.corpus_dir = v;
-    } else if (arg == "--no-reuse") {
-      opts.reuse_worlds = false;
     } else if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) return Usage();
